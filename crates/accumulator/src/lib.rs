@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod acc;
-mod cache;
 mod error;
 mod hprime;
 pub mod merkle;
@@ -55,7 +54,6 @@ mod params;
 pub mod witness;
 
 pub use acc::Accumulator;
-pub use cache::{CacheError, WitnessCache};
 pub use error::AccumulatorError;
 pub use hprime::{hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
 pub use nonmembership::{nonmembership_witness, verify_nonmembership, NonMembershipWitness};

@@ -41,7 +41,7 @@ pub fn nonmembership_witness(
     primes: &[BigUint],
     x: &BigUint,
 ) -> Option<NonMembershipWitness> {
-    let u = product_tree(primes);
+    let u = BigUint::product(primes);
     let a = u.modinv(x)?; // None iff gcd(x, u) != 1, i.e. x ∈ X
     let au = &a * &u;
     let k = &(&au - &BigUint::one()) / x;
@@ -62,19 +62,6 @@ pub fn verify_nonmembership(
         .generator()
         .mulmod(&params.powmod(&witness.d, x), params.modulus());
     lhs == rhs
-}
-
-/// Balanced product tree: multiplies `n` numbers in `O(M(total) log n)`
-/// instead of the quadratic left fold.
-pub fn product_tree(factors: &[BigUint]) -> BigUint {
-    match factors {
-        [] => BigUint::one(),
-        [single] => single.clone(),
-        _ => {
-            let (left, right) = factors.split_at(factors.len() / 2);
-            &product_tree(left) * &product_tree(right)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,13 +122,5 @@ mod tests {
         let x = hash_to_prime(b"anything", 64).expect("width ok");
         let w = nonmembership_witness(&params, &[], &x).expect("empty set");
         assert!(verify_nonmembership(&params, &x, &w, acc.value()));
-    }
-
-    #[test]
-    fn product_tree_matches_fold() {
-        let ps = primes(9);
-        let fold = ps.iter().fold(BigUint::one(), |a, p| &a * p);
-        assert_eq!(product_tree(&ps), fold);
-        assert_eq!(product_tree(&[]), BigUint::one());
     }
 }

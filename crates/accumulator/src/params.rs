@@ -1,9 +1,11 @@
 //! RSA accumulator public parameters (`Setup(1^λ)`).
 
 use crate::error::AccumulatorError;
-use slicer_bignum::{gen_safe_prime, random_below, BigUint, MontgomeryCtx};
+use slicer_bignum::{gen_safe_prime, random_below, BigUint, FixedBase, MontgomeryCtx};
 use slicer_crypto::codec::{CodecError, Decode, Encode, Reader};
 use slicer_crypto::Rng;
+use std::fmt;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Fixed 512-bit modulus: product of two 256-bit safe primes generated once
 /// for the reproduction (factors discarded). 512 bits makes each witness 64
@@ -17,12 +19,26 @@ const N1024_HEX: &str = "bb4e6da51c76d10262e609238711c6438bbed174037683196828e14
 /// `q` safe primes, and a generator `g ∈ QR_n \ {1}`.
 ///
 /// The Montgomery context for `n` is precomputed once and shared by every
-/// accumulation, witness and verification operation.
-#[derive(Debug, Clone)]
+/// accumulation, witness and verification operation. The generator's
+/// fixed-base table ([`RsaParams::generator_pow_product`]) is built on
+/// first use and shared by every clone; equality, encoding and `Debug`
+/// ignore it, and decoded params start with an empty one.
+#[derive(Clone)]
 pub struct RsaParams {
     modulus: BigUint,
     generator: BigUint,
     ctx: Option<MontgomeryCtx>,
+    generator_table: Arc<RwLock<FixedBase>>,
+}
+
+impl fmt::Debug for RsaParams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaParams")
+            .field("modulus", &self.modulus)
+            .field("generator", &self.generator)
+            .field("ctx", &self.ctx)
+            .finish()
+    }
 }
 
 impl Encode for RsaParams {
@@ -59,11 +75,17 @@ impl RsaParams {
     /// ≤ 1 (RSA moduli are odd by construction).
     pub fn try_from_parts(modulus: BigUint, generator: BigUint) -> Result<Self, AccumulatorError> {
         let ctx = MontgomeryCtx::new(&modulus).ok_or(AccumulatorError::BadModulus)?;
-        Ok(RsaParams {
+        Ok(Self::with_ctx(modulus, generator, Some(ctx)))
+    }
+
+    fn with_ctx(modulus: BigUint, generator: BigUint, ctx: Option<MontgomeryCtx>) -> Self {
+        let generator_table = Arc::new(RwLock::new(FixedBase::new(&generator)));
+        RsaParams {
             modulus,
             generator,
-            ctx: Some(ctx),
-        })
+            ctx,
+            generator_table,
+        }
     }
 
     /// Decodes a baked-in modulus with `g = 4 = 2²` (a quadratic residue
@@ -73,11 +95,7 @@ impl RsaParams {
     fn baked(hex: &str) -> Self {
         let modulus = BigUint::from_hex(hex).unwrap_or_else(|_| BigUint::from(15u64));
         let ctx = MontgomeryCtx::new(&modulus);
-        RsaParams {
-            modulus,
-            generator: BigUint::from(4u64),
-            ctx,
-        }
+        Self::with_ctx(modulus, BigUint::from(4u64), ctx)
     }
 
     /// The baked-in 512-bit parameters used across tests and benchmarks.
@@ -160,6 +178,35 @@ impl RsaParams {
                 .fold(base.clone(), |acc, e| acc.modpow(e, &self.modulus)),
         }
     }
+
+    /// `g^(∏ exps) mod n` for the generator `g`, equal to
+    /// `powmod_product(generator(), exps)`: the exponent is formed by a
+    /// product tree and raised by fixed-base exponentiation over the
+    /// shared table of `g^(2^(128 i))`, first extending the table to the
+    /// exponent's size (128 squarings per new 128-bit digit). This is the
+    /// complement fold of every batched witness.
+    pub fn generator_pow_product(&self, exps: &[BigUint]) -> BigUint {
+        let Some(ctx) = &self.ctx else {
+            return self.powmod_product(&self.generator, exps);
+        };
+        let exp = BigUint::product(exps);
+        let digits = FixedBase::digits_for(&exp);
+        {
+            let table = self
+                .generator_table
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            if table.digits() >= digits {
+                return ctx.modpow_fixed(&table, &exp);
+            }
+        }
+        let mut table = self
+            .generator_table
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        table.extend_to(ctx, digits);
+        ctx.modpow_fixed(&table, &exp)
+    }
 }
 
 #[cfg(test)]
@@ -227,5 +274,87 @@ mod tests {
         let b = BigUint::from(123456u64);
         let e = BigUint::from(65537u64);
         assert_eq!(p.powmod(&b, &e), b.modpow(&e, p.modulus()));
+    }
+
+    /// Nonzero exponents of 1–200 bits: their products end at every
+    /// offset within a 128-bit digit, not only on the boundaries 128-bit
+    /// primes would give.
+    fn ragged_exponent(g: &mut slicer_testkit::prop::Gen) -> BigUint {
+        let bits = g.u64_in(1, 200) as u32;
+        let wide = BigUint::from_limbs(vec![g.u64(), g.u64(), g.u64(), g.u64()]);
+        let e = &wide >> (256 - bits);
+        if e.is_zero() {
+            BigUint::one()
+        } else {
+            e
+        }
+    }
+
+    #[test]
+    fn generator_pow_product_equals_powmod_product() {
+        let mut rng = HmacDrbg::from_u64(0x2014);
+        let fresh = RsaParams::generate(128, &mut rng).expect("128 bits suffices");
+        assert_ne!(fresh.generator(), &BigUint::from(4u64));
+        let deployments = [RsaParams::fixed_512(), RsaParams::fixed_1024(), fresh];
+        let primes: Vec<BigUint> = (0..300u32)
+            .map(|i| crate::hash_to_prime(&i.to_be_bytes(), 128).expect("width ok"))
+            .collect();
+        slicer_testkit::prop_check!(0x2014, 64, |g| {
+            let shared = &deployments[g.u64_in(0, 2) as usize];
+            let count = g.u64_in(0, 300) as usize;
+            let exps: Vec<BigUint> = (0..count)
+                .map(|i| {
+                    if g.u8() & 1 == 0 {
+                        primes[i].clone()
+                    } else {
+                        ragged_exponent(g)
+                    }
+                })
+                .collect();
+            let want = shared.powmod_product(shared.generator(), &exps);
+            // Cold: a fresh table grown by this call.
+            let cold =
+                RsaParams::try_from_parts(shared.modulus().clone(), shared.generator().clone())
+                    .expect("valid modulus");
+            slicer_testkit::prop_assert_eq!(cold.generator_pow_product(&exps), want.clone());
+            // Warmed by a larger earlier call, then read through a clone.
+            let mut larger = exps.clone();
+            larger.extend(primes.iter().take(g.u64_in(1, 40) as usize).cloned());
+            shared.generator_pow_product(&larger);
+            let clone = shared.clone();
+            slicer_testkit::prop_assert!(Arc::ptr_eq(
+                &clone.generator_table,
+                &shared.generator_table
+            ));
+            slicer_testkit::prop_assert_eq!(clone.generator_pow_product(&exps), want);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn warm_table_changes_no_observable_semantics() {
+        use slicer_crypto::codec::{from_bytes, to_bytes};
+        let primes: Vec<BigUint> = (0..40u32)
+            .map(|i| crate::hash_to_prime(&i.to_be_bytes(), 128).expect("width ok"))
+            .collect();
+        let targets = [3usize, 17, 39];
+        let cold = RsaParams::fixed_512();
+        let warm = RsaParams::fixed_512();
+        let witnesses = crate::witness::witness_batch(&warm, &primes, &targets).expect("valid");
+        let digits = |p: &RsaParams| p.generator_table.read().map(|t| t.digits()).unwrap_or(0);
+        assert!(digits(&warm) >= primes.len() - targets.len());
+        // Codec bytes, equality and Debug do not see the table.
+        assert_eq!(to_bytes(&warm).unwrap(), to_bytes(&cold).unwrap());
+        assert_eq!(warm, cold);
+        let shown = format!("{warm:?}");
+        assert_eq!(shown, format!("{cold:?}"));
+        assert!(!shown.contains("FixedBase") && !shown.contains("generator_table"));
+        // Decoded params start cold and prove the same witnesses.
+        let decoded: RsaParams = from_bytes(&to_bytes(&warm).unwrap()).unwrap();
+        assert_eq!(digits(&decoded), 0);
+        assert_eq!(
+            crate::witness::witness_batch(&decoded, &primes, &targets).expect("valid"),
+            witnesses
+        );
     }
 }

@@ -7,12 +7,15 @@
 //!   short exponentiations. This is what the paper's cloud does per search
 //!   token (its VO-generation time in Fig. 5b/5d grows with the record
 //!   count for exactly this reason).
-//! * [`witness_batch`] — for an order query's `b` slices: fold the shared
-//!   complement once, then split among the `b` targets with a root-factor
-//!   tree. Turns `b` direct folds into ~1.
+//! * [`witness_batch`] — for an order query's `b` slices: raise `g` to the
+//!   shared complement once, then split among the `b` targets with a
+//!   root-factor tree. Turns `b` direct folds into ~1, and the complement
+//!   power is a fixed-base exponentiation over the generator's table
+//!   ([`RsaParams::generator_pow_product`]) rather than a square-and-multiply
+//!   chain of `128 |X|` squarings.
 //! * [`root_factor`] — Sander–Ta-Shma–style divide and conquer producing
-//!   witnesses for *every* member in `O(|X| log |X|)` exponentiations; used
-//!   by the cloud's witness cache ablation.
+//!   witnesses for *every* member of a set in `O(|X| log |X|)`
+//!   exponentiations; the split stage of [`witness_batch`].
 
 use crate::error::AccumulatorError;
 use crate::params::RsaParams;
@@ -99,14 +102,14 @@ pub fn witness_batch_pooled(
         }
         *slot = true;
     }
-    // Fold the complement (all primes not being proven) once.
+    // Raise g to the complement (all primes not being proven) once.
     let complement: Vec<BigUint> = primes
         .iter()
         .zip(&in_targets)
         .filter(|(_, proving)| !**proving)
         .map(|(p, _)| p.clone())
         .collect();
-    let base = params.powmod_product(params.generator(), &complement);
+    let base = params.generator_pow_product(&complement);
     // Distribute the target primes over each other with a root-factor tree.
     let target_primes: Vec<BigUint> = targets
         .iter()
@@ -297,26 +300,63 @@ mod tests {
 
     #[test]
     fn batch_witnesses_byte_equal_naive_fold() {
-        // The product-tree path (chunked exponent products + root-factor
-        // splits) must agree bit for bit with the one-prime-at-a-time fold
-        // on random sets and random target subsets.
+        // The batched path (fixed-base complement fold + root-factor
+        // splits) must agree bit for bit with the one-prime-at-a-time
+        // fold, for every shape of complement: one target among up to 300
+        // members, a random subset, all members proven (empty complement)
+        // and a few targets among many; tables cold, warmed by larger
+        // earlier cases and shared through clones; pools of 1, 2 and 8.
         use slicer_testkit::{prop_assert_eq, prop_check};
-        prop_check!(0x2011, 64, |g| {
-            let params = RsaParams::fixed_512();
-            let n = g.u64_in(2, 18) as usize;
-            let ps: Vec<BigUint> = (0..n)
-                .map(|i| hash_to_prime(&[g.u8(), i as u8, 0x77], 64).expect("width ok"))
-                .collect();
-            let mut targets: Vec<usize> = (0..n).filter(|_| g.u8() & 1 == 1).collect();
-            if targets.is_empty() {
-                targets.push(g.u64_in(0, n as u64 - 1) as usize);
-            }
-            let batch = witness_batch(&params, &ps, &targets).expect("valid targets");
+        let mut rng = slicer_crypto::HmacDrbg::from_u64(0x2015);
+        let fresh = RsaParams::generate(128, &mut rng).expect("128 bits suffices");
+        let deployments = [RsaParams::fixed_512(), RsaParams::fixed_1024(), fresh];
+        let all: Vec<BigUint> = (0..300u32)
+            .map(|i| hash_to_prime(&i.to_be_bytes(), 128).expect("width ok"))
+            .collect();
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(8)];
+        prop_check!(0x2015, 64, |g| {
+            let shared = &deployments[g.u64_in(0, 2) as usize];
+            let params = match g.u64_in(0, 2) {
+                0 => {
+                    RsaParams::try_from_parts(shared.modulus().clone(), shared.generator().clone())
+                        .expect("valid modulus")
+                }
+                _ => shared.clone(),
+            };
+            let (n, targets): (usize, Vec<usize>) = match g.u64_in(0, 3) {
+                0 => {
+                    let n = g.u64_in(1, 300) as usize;
+                    (n, vec![g.u64_in(0, n as u64 - 1) as usize])
+                }
+                1 => {
+                    let n = g.u64_in(2, 18) as usize;
+                    let mut t: Vec<usize> = (0..n).filter(|_| g.u8() & 1 == 1).collect();
+                    if t.is_empty() {
+                        t.push(g.u64_in(0, n as u64 - 1) as usize);
+                    }
+                    (n, t)
+                }
+                2 => {
+                    let n = g.u64_in(1, 24) as usize;
+                    (n, (0..n).collect())
+                }
+                _ => {
+                    let n = g.u64_in(2, 300) as usize;
+                    let mut t: Vec<usize> = (0..g.u64_in(2, 6))
+                        .map(|_| g.u64_in(0, n as u64 - 1) as usize)
+                        .collect();
+                    t.sort_unstable();
+                    t.dedup();
+                    (n, t)
+                }
+            };
+            let ps = &all[..n];
+            let pool = &pools[g.u64_in(0, 2) as usize];
+            let elem = params.element_bytes();
+            let batch = witness_batch_pooled(&params, ps, &targets, pool).expect("valid targets");
             for (w, &t) in batch.iter().zip(&targets) {
-                prop_assert_eq!(
-                    w.clone(),
-                    membership_witness(&params, &ps, t).expect("in range")
-                );
+                let direct = membership_witness(&params, ps, t).expect("in range");
+                prop_assert_eq!(w.to_bytes_be_padded(elem), direct.to_bytes_be_padded(elem));
             }
             Ok(())
         });

@@ -52,22 +52,15 @@ fn mul_schoolbook(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     }
     let mut out = vec![0 as Limb; a.len() + b.len()];
     for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
+        // Row `i` spans `out[i..=i + b.len()]`; its top limb is still zero
+        // (earlier rows end one limb lower), so the carry lands there whole.
         let mut carry: DoubleLimb = 0;
-        for (j, &bj) in b.iter().enumerate() {
-            let s = out[i + j] as DoubleLimb + ai as DoubleLimb * bj as DoubleLimb + carry;
-            out[i + j] = s as Limb;
+        for (o, &bj) in out[i..i + b.len()].iter_mut().zip(b) {
+            let s = *o as DoubleLimb + ai as DoubleLimb * bj as DoubleLimb + carry;
+            *o = s as Limb;
             carry = s >> 64;
         }
-        let mut k = i + b.len();
-        while carry != 0 {
-            let s = out[k] as DoubleLimb + carry;
-            out[k] = s as Limb;
-            carry = s >> 64;
-            k += 1;
-        }
+        out[i + b.len()] = carry as Limb;
     }
     out
 }
@@ -89,10 +82,12 @@ fn mul_karatsuba(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     z1 = sub_trim(z1, &z0);
     z1 = sub_trim(z1, &z2);
 
+    // z0 fills limbs [0, 2 half) and z2 starts at 2 half: place both,
+    // then add the middle term across them.
     let mut out = vec![0 as Limb; a.len() + b.len()];
-    add_into(&mut out, &z0, 0);
+    out[..z0.len()].copy_from_slice(&z0);
+    out[2 * half..2 * half + z2.len()].copy_from_slice(&z2);
     add_into(&mut out, &z1, half);
-    add_into(&mut out, &z2, 2 * half);
     out
 }
 
@@ -161,6 +156,27 @@ impl BigUint {
     /// `self * self`.
     pub fn square(&self) -> BigUint {
         BigUint::from_limbs(mul_limbs(&self.limbs, &self.limbs))
+    }
+
+    /// `∏ factors` by a balanced product tree, `O(M(total) log n)` instead
+    /// of the quadratic left fold: the operands of each multiplication
+    /// have about the same size, so the large ones reach Karatsuba. The
+    /// empty product is one.
+    ///
+    /// ```
+    /// use slicer_bignum::BigUint;
+    /// let fs: Vec<BigUint> = (1..=5u64).map(BigUint::from).collect();
+    /// assert_eq!(BigUint::product(&fs), BigUint::from(120u64));
+    /// ```
+    pub fn product(factors: &[BigUint]) -> BigUint {
+        match factors {
+            [] => BigUint::one(),
+            [single] => single.clone(),
+            _ => {
+                let (left, right) = factors.split_at(factors.len() / 2);
+                &Self::product(left) * &Self::product(right)
+            }
+        }
     }
 }
 
@@ -267,17 +283,29 @@ mod tests {
     }
 
     #[test]
+    fn product_tree_matches_sequential_fold() {
+        prop_check!(0x1017, 32, |g| {
+            let count = g.u64_in(0, 300) as usize;
+            let fs: Vec<BigUint> = (0..count).map(|_| BigUint::from(g.u128())).collect();
+            let want = fs.iter().fold(BigUint::one(), |acc, f| &acc * f);
+            prop_assert_eq!(BigUint::product(&fs), want);
+            Ok(())
+        });
+    }
+
+    #[test]
     fn karatsuba_matches_schoolbook() {
-        // Build operands large enough to trip the Karatsuba path.
-        let a_limbs: Vec<u64> = (0..80u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let b_limbs: Vec<u64> = (0..77u64)
-            .map(|i| i.wrapping_mul(0xC2B2AE3D27D4EB4F) ^ 0xFF)
-            .collect();
-        let k = mul_karatsuba(&a_limbs, &b_limbs);
-        let s = mul_schoolbook(&a_limbs, &b_limbs);
-        assert_eq!(BigUint::from_limbs(k), BigUint::from_limbs(s));
+        // Operands large enough to trip the Karatsuba path, balanced and
+        // unbalanced (one side shorter than the split point).
+        prop_check!(0x1019, 32, |g| {
+            let a: Vec<u64> = (0..g.u64_in(32, 200)).map(|_| g.u64()).collect();
+            let b: Vec<u64> = (0..g.u64_in(32, 200)).map(|_| g.u64()).collect();
+            prop_assert_eq!(
+                BigUint::from_limbs(mul_karatsuba(&a, &b)),
+                BigUint::from_limbs(mul_schoolbook(&a, &b))
+            );
+            Ok(())
+        });
     }
 
     #[test]

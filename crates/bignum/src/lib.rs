@@ -12,8 +12,9 @@
 //!   of arithmetic, bit and comparison operators.
 //! * Knuth Algorithm D division ([`BigUint::div_rem`]).
 //! * Montgomery-form modular exponentiation ([`MontgomeryCtx`],
-//!   [`BigUint::modpow`]) with a 4-bit window, used on every accumulator
-//!   witness computation.
+//!   [`BigUint::modpow`]) with a sliding window, and fixed-base
+//!   exponentiation over a table of generator powers ([`FixedBase`],
+//!   [`MontgomeryCtx::modpow_fixed`]) for the accumulator's witness fold.
 //! * Modular inverses via the extended Euclidean algorithm
 //!   ([`BigUint::modinv`]).
 //! * Miller–Rabin primality testing and random (safe-)prime generation
@@ -42,6 +43,7 @@ mod bits;
 mod codec_impl;
 mod convert;
 mod div;
+mod fixed_base;
 mod fmt;
 mod gcd;
 mod modular;
@@ -50,6 +52,7 @@ mod prime;
 mod random;
 mod uint;
 
+pub use fixed_base::FixedBase;
 pub use gcd::ExtendedGcd;
 pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, gen_safe_prime, next_prime, SMALL_PRIMES};

@@ -25,11 +25,6 @@ pub enum WitnessStrategy {
     /// order queries.
     #[default]
     Batched,
-    /// Maintain a [`slicer_accumulator::WitnessCache`] over every
-    /// accumulated prime (built lazily, updated incrementally on ingest):
-    /// VO generation becomes a lookup, trading ingest-time work for
-    /// query-time speed.
-    Cached,
 }
 
 /// The (honest) cloud server.
@@ -43,7 +38,6 @@ pub struct CloudServer {
     state: CloudState,
     trapdoor_pk: TrapdoorPublic,
     strategy: WitnessStrategy,
-    witness_cache: slicer_accumulator::WitnessCache,
     telemetry: TelemetryHandle,
     pool: Pool,
 }
@@ -57,7 +51,6 @@ impl CloudServer {
             state: CloudState::new(),
             trapdoor_pk,
             strategy: WitnessStrategy::default(),
-            witness_cache: slicer_accumulator::WitnessCache::default(),
             telemetry: TelemetryHandle::disabled(),
             pool,
         }
@@ -77,7 +70,6 @@ impl CloudServer {
             state,
             trapdoor_pk,
             strategy: WitnessStrategy::default(),
-            witness_cache: slicer_accumulator::WitnessCache::default(),
             telemetry: TelemetryHandle::disabled(),
             pool,
         }
@@ -252,37 +244,6 @@ impl CloudServer {
                 )
                 .map_err(corrupt)?
             }
-            WitnessStrategy::Cached => {
-                // Bring the cache up to date with any primes ingested
-                // since the last query, then answer by lookup. An
-                // inconsistent cache (e.g. restored from a truncated
-                // segment) degrades to a full rebuild instead of
-                // killing the server.
-                if self
-                    .witness_cache
-                    .update(params, self.state.primes.as_slice())
-                    .is_err()
-                {
-                    self.telemetry.count("cloud.witness_cache.rebuilds", 1);
-                    self.witness_cache = slicer_accumulator::WitnessCache::default();
-                    self.witness_cache
-                        .update(params, self.state.primes.as_slice())
-                        .map_err(|e| {
-                            SlicerError::IndexCorruption(format!(
-                                "witness cache rebuild failed: {e}"
-                            ))
-                        })?;
-                }
-                xs.iter()
-                    .map(|x| {
-                        self.witness_cache.get(x).cloned().ok_or_else(|| {
-                            SlicerError::IndexCorruption(
-                                "witness cache misses an accumulated prime".into(),
-                            )
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            }
         };
         self.telemetry
             .count("cloud.witnesses.generated", witnesses.len() as u64);
@@ -456,57 +417,7 @@ mod tests {
         let direct = cloud.prove(&results).unwrap();
         cloud.set_strategy(WitnessStrategy::Batched);
         let batched = cloud.prove(&results).unwrap();
-        cloud.set_strategy(WitnessStrategy::Cached);
-        let cached = cloud.prove(&results).unwrap();
         assert_eq!(direct, batched);
-        assert_eq!(direct, cached);
-    }
-
-    #[test]
-    fn cached_strategy_survives_inserts() {
-        let (mut owner, mut cloud) = setup(15);
-        cloud.set_strategy(WitnessStrategy::Cached);
-        // Warm the cache.
-        let tokens = owner.search_tokens(&Query::less_than(100));
-        let results = cloud.search(&tokens);
-        cloud.prove(&results).unwrap();
-        // Insert rotates trapdoors and appends primes; the cache must
-        // catch up incrementally and still verify.
-        let out = owner.insert(&[(RecordId::from_u64(77), 42)]).unwrap();
-        cloud.ingest(&out).unwrap();
-        let tokens = owner.search_tokens(&Query::equal(42));
-        let resp = cloud.respond(&tokens).unwrap();
-        let params = &owner.config().accumulator;
-        let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
-            assert!(acc.verify(&x, &w));
-        }
-    }
-
-    #[test]
-    fn cached_strategy_recovers_from_poisoned_cache() {
-        let (owner, mut cloud) = setup(15);
-        cloud.set_strategy(WitnessStrategy::Cached);
-        let tokens = owner.search_tokens(&Query::less_than(100));
-        // Poison the cache the way a truncated restore would: build it
-        // over the canonical primes plus a phantom, so it claims to cover
-        // more primes than the stored list holds.
-        let mut over: Vec<slicer_bignum::BigUint> = cloud.state.primes.as_slice().to_vec();
-        over.push(hash_to_prime(b"phantom", cloud.config.prime_bits).unwrap());
-        cloud.witness_cache =
-            slicer_accumulator::WitnessCache::build(&cloud.config.accumulator, &over);
-        // prove() must degrade to a full cache rebuild, not panic, and
-        // still produce witnesses that verify against the accumulator.
-        let resp = cloud.respond(&tokens).unwrap();
-        let params = &owner.config().accumulator;
-        let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
-            assert!(acc.verify(&x, &w));
-        }
     }
 
     #[test]

@@ -97,6 +97,21 @@ if ./target/release/slicer-cli bench-diff BENCH_search.json \
 fi
 echo "bench-diff gate OK (clean inputs pass, injected regression fails)"
 
+echo "==> Table II drift gate (repro --experiment table2 vs results/table2.csv)"
+# Table II is deterministic (gas is an operation-count model), so the
+# committed CSV, which EXPERIMENTS.md quotes, must match a fresh run
+# exactly.
+mkdir -p "$bench_tmp/table2"
+cargo run -q --release --offline -p slicer-bench --bin repro -- \
+  --experiment table2 --csv "$bench_tmp/table2" >/dev/null
+if ! diff -u results/table2.csv "$bench_tmp/table2/table2.csv"; then
+  echo "Table II drift gate FAILED: results/table2.csv differs from a fresh run" >&2
+  echo "  (regenerate with repro --experiment table2 --csv results and update" >&2
+  echo "   the Table II block of EXPERIMENTS.md)" >&2
+  exit 1
+fi
+echo "Table II drift gate OK"
+
 echo "==> telemetry smoke (protocol_trace phase profile + JSON export)"
 trace_out="$(cargo run -q --release --offline --example protocol_trace)"
 for phase in setup build token search verify settle; do
