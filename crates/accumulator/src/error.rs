@@ -24,15 +24,6 @@ pub enum AccumulatorError {
     },
     /// The same target index appeared twice in one batch request.
     DuplicateTarget(usize),
-    /// A Merkle tree was requested over an empty leaf set.
-    EmptyTree,
-    /// A Merkle proof was requested for a leaf outside the tree.
-    LeafOutOfRange {
-        /// The offending leaf index.
-        index: usize,
-        /// Number of leaves in the tree.
-        len: usize,
-    },
 }
 
 impl fmt::Display for AccumulatorError {
@@ -52,12 +43,6 @@ impl fmt::Display for AccumulatorError {
             }
             AccumulatorError::DuplicateTarget(index) => {
                 write!(f, "duplicate target index {index}")
-            }
-            AccumulatorError::EmptyTree => {
-                write!(f, "cannot build a Merkle tree over nothing")
-            }
-            AccumulatorError::LeafOutOfRange { index, len } => {
-                write!(f, "leaf index {index} out of range for {len} leaves")
             }
         }
     }

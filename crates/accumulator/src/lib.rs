@@ -48,13 +48,10 @@
 mod acc;
 mod error;
 mod hprime;
-pub mod merkle;
-pub mod nonmembership;
 mod params;
 pub mod witness;
 
 pub use acc::Accumulator;
 pub use error::AccumulatorError;
 pub use hprime::{hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
-pub use nonmembership::{nonmembership_witness, verify_nonmembership, NonMembershipWitness};
 pub use params::RsaParams;

@@ -1,10 +1,12 @@
 //! Micro-benchmark: substrate throughput — the from-scratch crypto and
-//! bignum primitives every protocol operation sits on.
+//! bignum primitives every protocol operation sits on, plus SORE
+//! encryption, token generation and comparison.
 
 use slicer_bignum::BigUint;
 use slicer_crypto::aes::Aes128;
 use slicer_crypto::{hmac_sha256, sha256};
 use slicer_mshash::MsetHash;
+use slicer_sore::{Order, SoreScheme};
 use slicer_testkit::bench::{black_box, Bench};
 
 fn main() {
@@ -45,5 +47,25 @@ fn main() {
     let mut h = MsetHash::empty();
     group.run("insert", || {
         h.insert(b"a 32-byte encrypted record id...");
+    });
+
+    let mut group = Bench::new("sore");
+    let sore = SoreScheme::new(b"key", 16).expect("valid width");
+    let mut rng = slicer_crypto::HmacDrbg::from_u64(1);
+    group.run("encrypt", || {
+        black_box(sore.encrypt(12_345, &mut rng).expect("in domain"));
+    });
+    group.run("token", || {
+        black_box(
+            sore.token(12_345, Order::Greater, &mut rng)
+                .expect("in domain"),
+        );
+    });
+    let ct = sore.encrypt(10_000, &mut rng).expect("in domain");
+    let tk = sore
+        .token(20_000, Order::Greater, &mut rng)
+        .expect("in domain");
+    group.run("compare", || {
+        black_box(SoreScheme::compare(&ct, &tk));
     });
 }

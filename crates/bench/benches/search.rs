@@ -27,7 +27,9 @@ fn main() {
     for bits in [8u8, 16] {
         let (owner, mut cloud, probe) = setup(2_000, bits);
 
-        let eq_tokens = owner.search_tokens(&Query::equal(probe));
+        let eq_tokens = owner
+            .search_tokens(&Query::equal(probe))
+            .expect("query in domain");
         group.run(&format!("equality/results/{bits}"), || {
             black_box(cloud.search(&eq_tokens));
         });
@@ -36,7 +38,9 @@ fn main() {
             black_box(cloud.prove(&eq_results).expect("bench state is honest"));
         });
 
-        let ord_tokens = owner.search_tokens(&Query::less_than(probe));
+        let ord_tokens = owner
+            .search_tokens(&Query::less_than(probe))
+            .expect("query in domain");
         group.run(&format!("order/results/{bits}"), || {
             black_box(cloud.search(&ord_tokens));
         });

@@ -121,7 +121,9 @@ pub fn search_experiments(scale: f64, bits_list: &[u8], queries: usize) -> Vec<T
             let clock = MonotonicClock::new();
             for &v in &values {
                 // Equality query.
-                let tokens = owner.search_tokens(&Query::equal(v));
+                let tokens = owner
+                    .search_tokens(&Query::equal(v))
+                    .expect("query in domain");
                 let t0 = clock.now_nanos();
                 let results = cloud.search(&tokens);
                 eq_search += secs_since(&clock, t0);
@@ -132,7 +134,9 @@ pub fn search_experiments(scale: f64, bits_list: &[u8], queries: usize) -> Vec<T
                 drop(vos);
 
                 // Order query (< v).
-                let tokens = owner.search_tokens(&Query::less_than(v));
+                let tokens = owner
+                    .search_tokens(&Query::less_than(v))
+                    .expect("query in domain");
                 ord_tokens += tokens.len();
                 let t0 = clock.now_nanos();
                 let results = cloud.search(&tokens);

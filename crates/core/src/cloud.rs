@@ -367,7 +367,7 @@ mod tests {
     fn equality_search_returns_matching_count() {
         let (owner, cloud) = setup(40);
         // Values are (i*7)%256 for i in 0..40: value 7 appears once (i=1).
-        let tokens = owner.search_tokens(&Query::equal(7));
+        let tokens = owner.search_tokens(&Query::equal(7)).unwrap();
         assert_eq!(tokens.len(), 1);
         let results = cloud.search(&tokens);
         assert_eq!(results[0].er.len(), 1);
@@ -377,7 +377,7 @@ mod tests {
     fn order_search_finds_all_smaller_values() {
         let (owner, cloud) = setup(40);
         let expected = (0..40).filter(|i| (i * 7) % 256 < 50).count();
-        let tokens = owner.search_tokens(&Query::less_than(50));
+        let tokens = owner.search_tokens(&Query::less_than(50)).unwrap();
         let results = cloud.search(&tokens);
         let total: usize = results.iter().map(|r| r.er.len()).sum();
         assert_eq!(total, expected);
@@ -389,7 +389,7 @@ mod tests {
         let out = owner.insert(&[(RecordId::from_u64(100), 7)]).unwrap();
         cloud.ingest(&out).unwrap();
         let before7 = (0..10).filter(|i| (i * 7) % 256 == 7).count();
-        let tokens = owner.search_tokens(&Query::equal(7));
+        let tokens = owner.search_tokens(&Query::equal(7)).unwrap();
         let results = cloud.search(&tokens);
         assert_eq!(results[0].er.len(), before7 + 1, "old + new generation");
     }
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn honest_witnesses_verify_against_owner_accumulator() {
         let (owner, mut cloud) = setup(25);
-        let tokens = owner.search_tokens(&Query::less_than(100));
+        let tokens = owner.search_tokens(&Query::less_than(100)).unwrap();
         let resp = cloud.respond(&tokens).unwrap();
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn all_witness_strategies_agree() {
         let (owner, mut cloud) = setup(25);
-        let tokens = owner.search_tokens(&Query::less_than(100));
+        let tokens = owner.search_tokens(&Query::less_than(100)).unwrap();
         let results = cloud.search(&tokens);
         cloud.set_strategy(WitnessStrategy::Direct);
         let direct = cloud.prove(&results).unwrap();
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn tampered_responses_produce_wrong_primes() {
         let (owner, mut cloud) = setup(25);
-        let tokens = owner.search_tokens(&Query::less_than(100));
+        let tokens = owner.search_tokens(&Query::less_than(100)).unwrap();
         let honest = cloud.respond(&tokens).unwrap();
         let tampered = malicious::drop_record(honest.clone());
         // Find the slice whose er changed and show its prime moved.

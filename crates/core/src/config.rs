@@ -1,5 +1,6 @@
 //! Protocol configuration.
 
+use crate::error::SlicerError;
 use slicer_accumulator::{RsaParams, DEFAULT_PRIME_BITS};
 
 /// Configuration shared by every party of a Slicer deployment.
@@ -66,6 +67,24 @@ impl SlicerConfig {
             (1u64 << self.value_bits) - 1
         }
     }
+
+    /// The domain rule for every value the protocol handles: record
+    /// values on ingest and query values on search must fit `value_bits`.
+    /// SORE tuples of a wider value name prefixes no record has, so an
+    /// out-of-domain query would match nothing or the wrong slice.
+    ///
+    /// # Errors
+    ///
+    /// [`SlicerError::ValueOutOfDomain`] if `value > max_value()`.
+    pub fn check_value(&self, value: u64) -> Result<(), SlicerError> {
+        if value > self.max_value() {
+            return Err(SlicerError::ValueOutOfDomain {
+                value,
+                bits: self.value_bits,
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +95,21 @@ mod tests {
     fn max_value_matches_width() {
         assert_eq!(SlicerConfig::test_8bit().max_value(), 255);
         assert_eq!(SlicerConfig::with_bits(64).max_value(), u64::MAX);
+    }
+
+    #[test]
+    fn check_value_accepts_exactly_the_domain() {
+        let c = SlicerConfig::test_8bit();
+        assert!(c.check_value(0).is_ok());
+        assert!(c.check_value(255).is_ok());
+        assert!(matches!(
+            c.check_value(256),
+            Err(SlicerError::ValueOutOfDomain {
+                value: 256,
+                bits: 8
+            })
+        ));
+        assert!(SlicerConfig::with_bits(64).check_value(u64::MAX).is_ok());
     }
 
     #[test]

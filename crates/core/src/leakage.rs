@@ -226,9 +226,9 @@ mod tests {
     #[test]
     fn repeat_matrix_identifies_identical_queries() {
         let o = owner_with(30);
-        let t1 = o.search_tokens(&Query::equal(3));
-        let t2 = o.search_tokens(&Query::equal(6));
-        let t3 = o.search_tokens(&Query::equal(3)); // repeat of t1
+        let t1 = o.search_tokens(&Query::equal(3)).unwrap();
+        let t2 = o.search_tokens(&Query::equal(6)).unwrap();
+        let t3 = o.search_tokens(&Query::equal(3)).unwrap(); // repeat of t1
         let history: Vec<SearchToken> = t1.iter().chain(&t2).chain(&t3).cloned().collect();
         let leak = RepeatLeakage::of(&history);
         assert!(leak.matrix[0][2], "same query repeats");
@@ -241,9 +241,9 @@ mod tests {
         // Forward security in L^repeat terms: after an insert touches a
         // keyword, its fresh token no longer matches the old one.
         let mut o = owner_with(30);
-        let before = o.search_tokens(&Query::equal(3));
+        let before = o.search_tokens(&Query::equal(3)).unwrap();
         o.insert(&[(RecordId::from_u64(999), 3)]).unwrap();
-        let after = o.search_tokens(&Query::equal(3));
+        let after = o.search_tokens(&Query::equal(3)).unwrap();
         let history: Vec<SearchToken> = before.iter().chain(&after).cloned().collect();
         let leak = RepeatLeakage::of(&history);
         assert!(!leak.matrix[0][1], "trapdoor rotation breaks linkage");

@@ -214,12 +214,7 @@ impl DataOwner {
         let mut groups: BTreeMap<Vec<u8>, Vec<RecordId>> = BTreeMap::new();
         for rec in records {
             for (attr, value) in &rec.attrs {
-                if *value > self.config.max_value() {
-                    return Err(SlicerError::ValueOutOfDomain {
-                        value: *value,
-                        bits: self.config.value_bits,
-                    });
-                }
+                self.config.check_value(*value)?;
                 for kw in self.keywords_for(attr.as_bytes(), *value) {
                     groups.entry(kw.encode()).or_default().push(rec.id);
                 }
@@ -372,13 +367,19 @@ impl DataOwner {
 
     /// Generates search tokens (Algorithm 3). Owners can search their own
     /// data; multi-user search goes through [`DataUser`].
-    pub fn search_tokens(&self, query: &Query) -> Vec<SearchToken> {
-        crate::user::make_tokens(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SlicerError::ValueOutOfDomain`] if the query value does
+    /// not fit the configured bit width.
+    pub fn search_tokens(&self, query: &Query) -> Result<Vec<SearchToken>, SlicerError> {
+        self.config.check_value(query.value)?;
+        Ok(crate::user::make_tokens(
             self.keys.prf_g(),
             &self.state.trapdoors,
             self.config.value_bits,
             query,
-        )
+        ))
     }
 
     /// Delegates search capability: builds a [`DataUser`] holding `K`,

@@ -408,7 +408,9 @@ impl SlicerInstance {
     ///
     /// # Errors
     ///
-    /// Propagates chain failures and malformed-result errors.
+    /// Returns [`SlicerError::ValueOutOfDomain`] if the query value does
+    /// not fit the configured bit width; propagates chain failures and
+    /// malformed-result errors.
     pub fn search(
         &mut self,
         chain: &mut Blockchain,
@@ -432,6 +434,8 @@ impl SlicerInstance {
         payment: u128,
         tamper: impl FnOnce(crate::messages::CloudResponse) -> crate::messages::CloudResponse,
     ) -> Result<SearchOutcome, SlicerError> {
+        // Out-of-domain values are rejected before any token or transaction.
+        self.user.config().check_value(query.value)?;
         let mut root = self.telemetry.span("protocol.search");
         let trace_id = root.ctx().map_or(0, |c| c.trace.0);
 

@@ -57,6 +57,9 @@ impl DataUser {
     /// Generates the search tokens for a query (Algorithm 3). Slices (or
     /// equality values) with no indexed records produce no token — their
     /// absence from `T` already proves an empty result to the user.
+    ///
+    /// The query value must pass [`SlicerConfig::check_value`];
+    /// [`crate::SlicerInstance::search`] checks it before calling this.
     pub fn tokens_for(&self, query: &Query) -> Vec<SearchToken> {
         let mut span = self.telemetry.span("user.tokens");
         let tokens = make_tokens(
@@ -190,7 +193,7 @@ mod tests {
         let o = built_owner();
         let u = o.delegate();
         let q = Query::less_than(77);
-        assert_eq!(o.search_tokens(&q), u.tokens_for(&q));
+        assert_eq!(o.search_tokens(&q).unwrap(), u.tokens_for(&q));
     }
 
     #[test]

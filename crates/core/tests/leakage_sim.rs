@@ -45,7 +45,7 @@ fn search_leakage_is_access_pattern_only() {
     let values: Vec<u64> = (0..30).map(|i| (i * 7) % 256).collect();
     let (owner, cloud, _) = build(&values, 3);
     let q = Query::less_than(100);
-    let tokens = owner.search_tokens(&q);
+    let tokens = owner.search_tokens(&q).unwrap();
     let results = cloud.search(&tokens);
     let leak = SearchLeakage::of(&results);
     // The profile records (j, hits) per token — nothing value-shaped.
@@ -63,10 +63,10 @@ fn equality_queries_on_same_count_values_leak_identically() {
     // was searched).
     let values: Vec<u64> = vec![5, 5, 5, 9, 9, 9, 1];
     let (owner, cloud, _) = build(&values, 4);
-    let l5 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(5))));
-    let l9 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(9))));
+    let l5 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(5)).unwrap()));
+    let l9 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(9)).unwrap()));
     assert_eq!(l5, l9, "same-count values are indistinguishable");
-    let l1 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(1))));
+    let l1 = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(1)).unwrap()));
     assert_ne!(l5, l1, "different counts differ (that IS the leakage)");
 }
 
@@ -75,10 +75,10 @@ fn repeat_leakage_tracks_only_identity() {
     let values: Vec<u64> = (0..20).collect();
     let (owner, _, _) = build(&values, 5);
     let mut history = Vec::new();
-    history.extend(owner.search_tokens(&Query::equal(3)));
-    history.extend(owner.search_tokens(&Query::equal(4)));
-    history.extend(owner.search_tokens(&Query::equal(3)));
-    history.extend(owner.search_tokens(&Query::equal(3)));
+    history.extend(owner.search_tokens(&Query::equal(3)).unwrap());
+    history.extend(owner.search_tokens(&Query::equal(4)).unwrap());
+    history.extend(owner.search_tokens(&Query::equal(3)).unwrap());
+    history.extend(owner.search_tokens(&Query::equal(3)).unwrap());
     let m = RepeatLeakage::of(&history);
     assert_eq!(m.distinct(), 2);
     // Identity classes: {0, 2, 3} and {1}.
@@ -90,11 +90,11 @@ fn repeat_leakage_tracks_only_identity() {
 fn insert_then_search_changes_access_pattern_not_shape() {
     let values: Vec<u64> = vec![42; 5];
     let (mut owner, mut cloud, _) = build(&values, 6);
-    let before = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(42))));
+    let before = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(42)).unwrap()));
     assert_eq!(before.tokens[0], (0, 5));
     let out = owner.insert(&[(RecordId::from_u64(100), 42)]).unwrap();
     cloud.ingest(&out).unwrap();
-    let after = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(42))));
+    let after = SearchLeakage::of(&cloud.search(&owner.search_tokens(&Query::equal(42)).unwrap()));
     // Generation count ticked, hit count grew — exactly the L^search story.
     assert_eq!(after.tokens[0], (1, 6));
 }

@@ -53,7 +53,7 @@ fn search_matches_oracle() {
             Query::less_than(qv),
             Query::greater_than(qv),
         ] {
-            let tokens = owner.search_tokens(&q);
+            let tokens = owner.search_tokens(&q).unwrap();
             let results = cloud.search(&tokens);
             let got = decrypted_ids(&owner, &results);
             let mut want: Vec<u64> = values
@@ -76,7 +76,7 @@ fn honest_vos_always_verify() {
         let qv = g.u64_in(0, 255);
         let seed = g.u64_in(0, 999);
         let (owner, mut cloud) = build_system(&values, seed);
-        let tokens = owner.search_tokens(&Query::less_than(qv));
+        let tokens = owner.search_tokens(&Query::less_than(qv)).unwrap();
         let resp = cloud.respond(&tokens).unwrap();
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
@@ -96,7 +96,7 @@ fn any_single_record_drop_is_detected() {
         let seed = g.u64_in(0, 999);
         let (owner, mut cloud) = build_system(&values, seed);
         // Query that matches everything so some slice is non-empty.
-        let tokens = owner.search_tokens(&Query::less_than(255));
+        let tokens = owner.search_tokens(&Query::less_than(255)).unwrap();
         let resp = cloud.respond(&tokens).unwrap();
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
@@ -132,7 +132,7 @@ fn insert_preserves_oracle_equality() {
         let out = owner.insert(&delta).expect("in-domain");
         cloud.ingest(&out).expect("consistent");
         let q = Query::less_than(qv);
-        let tokens = owner.search_tokens(&q);
+        let tokens = owner.search_tokens(&q).unwrap();
         let results = cloud.search(&tokens);
         let got = decrypted_ids(&owner, &results);
         let mut want: Vec<u64> = initial

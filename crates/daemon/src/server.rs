@@ -781,6 +781,35 @@ mod tests {
     }
 
     #[test]
+    fn out_of_domain_queries_become_error_responses_without_transactions() {
+        let dir = tmp("query-domain");
+        let mut daemon = Daemon::open(&dir, cfg(), TelemetryHandle::disabled()).unwrap();
+        daemon.handle(&Request {
+            trace_id: 0,
+            body: RequestBody::Ingest {
+                records: vec![(1, 10), (2, 20), (3, 200)],
+            },
+        });
+        let height = daemon.chain.height();
+        // 300 exceeds the 8-bit domain: `lt 300` used to verify an empty
+        // answer and `gt 300` to pay for record 3.
+        for query in [Query::less_than(300), Query::greater_than(300)] {
+            let resp = daemon.handle(&Request {
+                trace_id: 0,
+                body: RequestBody::Search {
+                    query,
+                    payment: 100,
+                },
+            });
+            let ResponseBody::Error(msg) = resp.body else {
+                panic!("want Error, got {:?}", resp.body);
+            };
+            assert!(msg.contains("exceeds the 8-bit domain"), "{msg}");
+        }
+        assert_eq!(daemon.chain.height(), height, "no request transaction");
+    }
+
+    #[test]
     fn requests_are_accounted_and_metrics_scrape_reflects_them() {
         use slicer_telemetry::{LogicalClock, NullSink};
         let dir = tmp("metrics");

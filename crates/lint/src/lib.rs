@@ -18,16 +18,15 @@
 //!    `Instant::now` and `std::thread` all make same-seed transcripts
 //!    diverge, which the determinism suite forbids.
 //!
-//! Existing violations are grandfathered in `lint-baseline.txt` with a
-//! strict ratchet (counts may only shrink); new code must be clean or
-//! carry an inline `// slicer-lint: allow(<rule>) — <reason>` pragma.
+//! Nothing is grandfathered: code must be clean or carry an inline
+//! `// slicer-lint: allow(<rule>) — <reason>` pragma, and any finding
+//! fails the run.
 //!
-//! Run it as `cargo run -p slicer-lint -- --check`.
+//! Run it as `cargo run -p slicer-lint`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
@@ -39,9 +38,6 @@ pub use rules::{policy_for, scan_source, Finding, Policy, ALL_RULES};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Name of the committed baseline file at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
 
 /// Collects every `.rs` file the linter covers: `crates/*/src/**` plus the
 /// root `src/**`, sorted for deterministic output.
@@ -116,7 +112,7 @@ pub fn scan_sources(sources: &[(String, String)]) -> Vec<Finding> {
     findings
 }
 
-/// `root`-relative path with forward slashes (baseline entries must not
+/// `root`-relative path with forward slashes (reports must not
 /// depend on the host OS).
 pub fn relative_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)

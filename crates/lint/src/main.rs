@@ -1,49 +1,29 @@
-//! CLI driver: `cargo run -p slicer-lint -- [--check|--update-baseline|--list]`.
+//! CLI driver: `cargo run -p slicer-lint -- [--format json|text] [--root DIR]`.
 //!
-//! * `--check` (default) — scan the workspace, compare against
-//!   `lint-baseline.txt`, exit 1 if any `(rule, file)` count grew.
-//! * `--update-baseline` — rewrite the baseline from the current scan
-//!   (shrinking the ratchet as sites are fixed).
-//! * `--list` — print every current finding (including grandfathered
-//!   ones) without judging.
-//! * `--strict` — with `--check`, also fail when the baseline is stale
-//!   (counts shrank without `--update-baseline`).
+//! Scans the workspace, prints every finding and exits 1 if there are
+//! any (0 when clean, 2 on a usage or I/O error).
+//!
 //! * `--format json` — machine-readable output: one JSON object with the
-//!   findings, mode verdict and per-family totals (for CI consumers).
+//!   status, findings and per-family totals (for CI consumers).
 //! * `--root <dir>` — workspace root (default: the lint crate's
 //!   grandparent, i.e. the repo root when run via cargo).
 
-use slicer_lint::{baseline, rules, scan_workspace, Finding, BASELINE_FILE};
+use slicer_lint::{scan_workspace, Finding};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
-    mode: Mode,
-    strict: bool,
     json: bool,
     root: PathBuf,
 }
 
-#[derive(PartialEq, Eq)]
-enum Mode {
-    Check,
-    UpdateBaseline,
-    List,
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut mode = Mode::Check;
-    let mut strict = false;
     let mut json = false;
     let mut root = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--check" => mode = Mode::Check,
-            "--update-baseline" => mode = Mode::UpdateBaseline,
-            "--list" => mode = Mode::List,
-            "--strict" => strict = true,
             "--format" => match it.next().as_deref() {
                 Some("json") => json = true,
                 Some("text") => json = false,
@@ -58,9 +38,7 @@ fn parse_args() -> Result<Args, String> {
                 root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: slicer-lint [--check|--update-baseline|--list] [--strict] [--format json|text] [--root DIR]"
-                );
+                println!("usage: slicer-lint [--format json|text] [--root DIR]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other}; try --help")),
@@ -75,12 +53,7 @@ fn parse_args() -> Result<Args, String> {
             .ok_or("cannot locate workspace root; pass --root")?
             .to_path_buf(),
     };
-    Ok(Args {
-        mode,
-        strict,
-        json,
-        root,
-    })
+    Ok(Args { json, root })
 }
 
 /// Minimal RFC 8259 string escaping (the linter is zero-dependency).
@@ -100,7 +73,24 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn findings_json(findings: &[Finding]) -> String {
+/// Finding counts per rule family (`panic`, `ct`, `det`, ...).
+fn family_totals(findings: &[Finding]) -> BTreeMap<&str, usize> {
+    let mut totals = BTreeMap::new();
+    for f in findings {
+        *totals
+            .entry(f.rule.split('.').next().unwrap_or(f.rule))
+            .or_insert(0) += 1;
+    }
+    totals
+}
+
+/// The machine-readable report: status, findings and per-family totals.
+fn report_json(findings: &[Finding]) -> String {
+    let status = if findings.is_empty() {
+        "ok"
+    } else {
+        "violation"
+    };
     let items: Vec<String> = findings
         .iter()
         .map(|f| {
@@ -113,67 +103,15 @@ fn findings_json(findings: &[Finding]) -> String {
             )
         })
         .collect();
-    format!("[{}]", items.join(","))
-}
-
-fn families_json(findings: &[Finding]) -> String {
-    let mut totals: BTreeMap<&str, usize> = BTreeMap::new();
-    for f in findings {
-        *totals
-            .entry(f.rule.split('.').next().unwrap_or(f.rule))
-            .or_insert(0) += 1;
-    }
-    let items: Vec<String> = totals
+    let families: Vec<String> = family_totals(findings)
         .iter()
         .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
         .collect();
-    format!("{{{}}}", items.join(","))
-}
-
-fn regressions_json(regs: &[baseline::Regression]) -> String {
-    let items: Vec<String> = regs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"file\":\"{}\",\"rule\":\"{}\",\"found\":{},\"allowed\":{}}}",
-                json_escape(&r.file),
-                json_escape(&r.rule),
-                r.found,
-                r.allowed
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The complete machine-readable report: status, findings, per-family
-/// totals, and (in check mode) the ratchet comparison.
-fn report_json(status: &str, findings: &[Finding], ratchet: Option<&baseline::Ratchet>) -> String {
-    let mut fields = vec![
-        format!("\"status\":\"{}\"", json_escape(status)),
-        format!("\"findings\":{}", findings_json(findings)),
-        format!("\"families\":{}", families_json(findings)),
-    ];
-    if let Some(r) = ratchet {
-        fields.push(format!("\"regressions\":{}", regressions_json(&r.grown)));
-        fields.push(format!("\"stale\":{}", regressions_json(&r.shrunk)));
-    }
-    format!("{{{}}}", fields.join(","))
-}
-
-fn family_summary(findings: &[Finding]) -> String {
-    let mut totals: BTreeMap<&str, usize> = BTreeMap::new();
-    for f in findings {
-        *totals
-            .entry(f.rule.split('.').next().unwrap_or(f.rule))
-            .or_insert(0) += 1;
-    }
-    let parts: Vec<String> = totals.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    if parts.is_empty() {
-        "clean".to_string()
-    } else {
-        parts.join(" ")
-    }
+    format!(
+        "{{\"status\":\"{status}\",\"findings\":[{}],\"families\":{{{}}}}}",
+        items.join(","),
+        families.join(",")
+    )
 }
 
 fn main() -> ExitCode {
@@ -192,104 +130,27 @@ fn main() -> ExitCode {
         }
     };
 
-    match args.mode {
-        Mode::List => {
-            if args.json {
-                println!("{}", report_json("listed", &findings, None));
-                return ExitCode::SUCCESS;
-            }
-            for f in &findings {
-                println!("{f}");
-            }
-            println!(
-                "slicer-lint: {} finding(s) ({})",
-                findings.len(),
-                family_summary(&findings)
-            );
-            ExitCode::SUCCESS
+    if args.json {
+        println!("{}", report_json(&findings));
+    } else if findings.is_empty() {
+        println!("slicer-lint: OK — clean");
+    } else {
+        for f in &findings {
+            println!("{f}");
         }
-        Mode::UpdateBaseline => {
-            let path = args.root.join(BASELINE_FILE);
-            if let Err(e) = std::fs::write(&path, baseline::render(&findings)) {
-                eprintln!("slicer-lint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "slicer-lint: baseline updated — {} grandfathered site(s) ({})",
-                findings.len(),
-                family_summary(&findings)
-            );
-            ExitCode::SUCCESS
-        }
-        Mode::Check => {
-            let path = args.root.join(BASELINE_FILE);
-            let base = match std::fs::read_to_string(&path) {
-                Ok(text) => match baseline::parse(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("slicer-lint: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                // No baseline yet: everything current must be clean.
-                Err(_) => baseline::Counts::new(),
-            };
-            let current = rules::group_counts(&findings);
-            let ratchet = baseline::ratchet(&current, &base);
-
-            if args.json {
-                let stale_fails = args.strict && !ratchet.shrunk.is_empty();
-                let status = if !ratchet.passed() {
-                    "ratchet_violation"
-                } else if stale_fails {
-                    "stale_baseline"
-                } else {
-                    "ok"
-                };
-                println!("{}", report_json(status, &findings, Some(&ratchet)));
-                return if status == "ok" {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-
-            for g in &ratchet.grown {
-                eprintln!(
-                    "slicer-lint: RATCHET VIOLATION {}: [{}] {} site(s), baseline allows {}",
-                    g.file, g.rule, g.found, g.allowed
-                );
-                for f in findings
-                    .iter()
-                    .filter(|f| f.file == g.file && f.rule == g.rule)
-                {
-                    eprintln!("  {f}");
-                }
-            }
-            for s in &ratchet.shrunk {
-                eprintln!(
-                    "slicer-lint: note: {} [{}] shrank {} -> {}; run --update-baseline to ratchet",
-                    s.file, s.rule, s.allowed, s.found
-                );
-            }
-            let stale_fails = args.strict && !ratchet.shrunk.is_empty();
-            if ratchet.passed() && !stale_fails {
-                println!(
-                    "slicer-lint: OK — {} grandfathered site(s) ({}), ratchet holds",
-                    findings.len(),
-                    family_summary(&findings)
-                );
-                ExitCode::SUCCESS
-            } else {
-                if stale_fails && ratchet.passed() {
-                    eprintln!("slicer-lint: FAILED (--strict): baseline is stale");
-                } else {
-                    eprintln!(
-                        "slicer-lint: FAILED — fix the new sites, add a justified pragma, or (only for pre-existing debt) --update-baseline"
-                    );
-                }
-                ExitCode::FAILURE
-            }
-        }
+        let parts: Vec<String> = family_totals(&findings)
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        eprintln!(
+            "slicer-lint: FAILED — {} finding(s) ({}); fix them or add a justified pragma",
+            findings.len(),
+            parts.join(" ")
+        );
+    }
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -14,7 +14,6 @@
 //! a reason is itself a violation (`pragma.missing_reason`).
 
 use crate::lexer::{lex, Pragma, Tok, TokKind};
-use std::collections::BTreeMap;
 
 /// Every rule id the engine can emit, in stable report order.
 pub const ALL_RULES: &[&str] = &[
@@ -466,16 +465,6 @@ fn apply_pragmas(path: &str, pragmas: &[Pragma], findings: &mut Vec<Finding>) {
         }
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-}
-
-/// Groups findings into `(file, rule) -> count`, the unit the baseline
-/// ratchet compares.
-pub fn group_counts(findings: &[Finding]) -> BTreeMap<(String, String), usize> {
-    let mut m = BTreeMap::new();
-    for f in findings {
-        *m.entry((f.file.clone(), f.rule.to_string())).or_insert(0) += 1;
-    }
-    m
 }
 
 #[cfg(test)]

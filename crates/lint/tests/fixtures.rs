@@ -1,10 +1,7 @@
 //! Fixture tests: every rule must flag a known-bad snippet at the right
 //! line, and known-good idioms (ct_eq helpers, pragma'd sites, test code)
-//! must pass clean. Plus the baseline-ratchet contract: grown counts fail,
-//! shrunk counts pass.
+//! must pass clean.
 
-use slicer_lint::baseline;
-use slicer_lint::rules::group_counts;
 use slicer_lint::{scan_source, Finding};
 
 /// Scans a snippet as if it lived in the given crate.
@@ -251,62 +248,4 @@ fn pragma_only_suppresses_its_named_rule() {
         rules_of(&findings).contains(&"panic.index"),
         "a pragma for another rule must not suppress panic.index: {findings:?}"
     );
-}
-
-// -------------------------------------------------------------- ratchet --
-
-fn finding(file: &str, rule: &'static str) -> Finding {
-    Finding {
-        file: file.to_string(),
-        line: 1,
-        rule,
-        detail: String::new(),
-    }
-}
-
-#[test]
-fn ratchet_fails_when_a_count_grows() {
-    let old = [finding("crates/chain/src/a.rs", "panic.unwrap")];
-    let new = [
-        finding("crates/chain/src/a.rs", "panic.unwrap"),
-        finding("crates/chain/src/a.rs", "panic.unwrap"),
-    ];
-    let base = baseline::parse(&baseline::render(&old)).unwrap();
-    let ratchet = baseline::ratchet(&group_counts(&new), &base);
-    assert!(!ratchet.passed());
-    assert_eq!(ratchet.grown.len(), 1);
-    assert_eq!(ratchet.grown[0].found, 2);
-    assert_eq!(ratchet.grown[0].allowed, 1);
-}
-
-#[test]
-fn ratchet_passes_when_counts_shrink_and_update_rewrites() {
-    let old = [
-        finding("crates/chain/src/a.rs", "panic.unwrap"),
-        finding("crates/chain/src/a.rs", "panic.unwrap"),
-        finding("crates/core/src/b.rs", "panic.expect"),
-    ];
-    let new = [finding("crates/chain/src/a.rs", "panic.unwrap")];
-    let base = baseline::parse(&baseline::render(&old)).unwrap();
-    let ratchet = baseline::ratchet(&group_counts(&new), &base);
-    assert!(ratchet.passed(), "shrinking is never a failure");
-    assert_eq!(ratchet.shrunk.len(), 2, "both shrunk pairs reported");
-
-    // --update-baseline semantics: re-render from current findings and the
-    // ratchet is exactly tight again.
-    let rewritten = baseline::parse(&baseline::render(&new)).unwrap();
-    let tight = baseline::ratchet(&group_counts(&new), &rewritten);
-    assert!(tight.passed());
-    assert!(tight.shrunk.is_empty());
-}
-
-#[test]
-fn baseline_roundtrips_through_render_and_parse() {
-    let findings = [
-        finding("crates/chain/src/a.rs", "panic.unwrap"),
-        finding("crates/chain/src/a.rs", "det.wall_clock"),
-        finding("crates/sore/src/c.rs", "ct.early_exit"),
-    ];
-    let counts = baseline::parse(&baseline::render(&findings)).unwrap();
-    assert_eq!(counts, group_counts(&findings));
 }

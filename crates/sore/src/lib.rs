@@ -1,7 +1,7 @@
 //! # slicer-sore
 //!
 //! The **Succinct Order-Revealing Encryption** scheme at the heart of
-//! Slicer (Section V-B), plus two classic ORE baselines used for ablation.
+//! Slicer (Section V-B).
 //!
 //! SORE "slices" an order condition over a `b`-bit value into `b` prefix
 //! tuples. A query token for `x` under order condition `oc` carries, per
@@ -23,21 +23,23 @@
 //! use slicer_sore::{Order, SoreScheme};
 //! use slicer_crypto::HmacDrbg;
 //!
-//! let sore = SoreScheme::new(b"prf key", 8);
+//! # fn main() -> Result<(), slicer_sore::SoreError> {
+//! let sore = SoreScheme::new(b"prf key", 8)?;
 //! let mut rng = HmacDrbg::from_u64(7);
-//! let ct = sore.encrypt(5, &mut rng);       // data value 5
-//! let tk = sore.token(6, Order::Greater, &mut rng); // query: 6 > y ?
-//! assert!(SoreScheme::compare(&ct, &tk));   // 6 > 5 ✓
+//! let ct = sore.encrypt(5, &mut rng)?;       // data value 5
+//! let tk = sore.token(6, Order::Greater, &mut rng)?; // query: 6 > y ?
+//! assert!(SoreScheme::compare(&ct, &tk));    // 6 > 5 ✓
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 mod order;
 mod scheme;
 mod tuple;
 
 pub use order::Order;
-pub use scheme::{Ciphertext, SoreScheme, Token};
+pub use scheme::{Ciphertext, SoreError, SoreScheme, Token};
 pub use tuple::{cipher_tuples, token_tuples, SliceTuple};

@@ -34,16 +34,12 @@ impl Decode for Order {
 }
 
 impl Order {
-    /// The comparison result `cmp(a, b)` between two differing bits, as an
-    /// order symbol: `cmp(1, 0) = ">"`, `cmp(0, 1) = "<"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` (the construction only compares a bit with its
-    /// complement).
-    pub fn cmp_bits(a: bool, b: bool) -> Order {
-        assert_ne!(a, b, "cmp is only defined on complementary bits");
-        if a {
+    /// The comparison `cmp(v̄, v)` of a flipped bit `v̄` with the original
+    /// bit `v`, as an order symbol: `cmp(1, 0) = ">"`, `cmp(0, 1) = "<"`.
+    /// The construction only ever compares a bit with its complement, so
+    /// the flipped bit alone decides the result.
+    pub fn cmp_flipped(flipped: bool) -> Order {
+        if flipped {
             Order::Greater
         } else {
             Order::Less
@@ -55,15 +51,6 @@ impl Order {
         match self {
             Order::Greater => b'>',
             Order::Less => b'<',
-        }
-    }
-
-    /// The opposite condition.
-    #[must_use]
-    pub fn flip(self) -> Order {
-        match self {
-            Order::Greater => Order::Less,
-            Order::Less => Order::Greater,
         }
     }
 
@@ -90,21 +77,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cmp_bits_convention() {
-        assert_eq!(Order::cmp_bits(true, false), Order::Greater);
-        assert_eq!(Order::cmp_bits(false, true), Order::Less);
-    }
-
-    #[test]
-    #[should_panic(expected = "complementary")]
-    fn cmp_equal_bits_panics() {
-        Order::cmp_bits(true, true);
-    }
-
-    #[test]
-    fn flip_is_involution() {
-        assert_eq!(Order::Greater.flip().flip(), Order::Greater);
-        assert_ne!(Order::Less.flip(), Order::Less);
+    fn cmp_flipped_convention() {
+        // cmp(1, 0) = ">" and cmp(0, 1) = "<".
+        assert_eq!(Order::cmp_flipped(true), Order::Greater);
+        assert_eq!(Order::cmp_flipped(false), Order::Less);
     }
 
     #[test]

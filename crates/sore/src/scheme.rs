@@ -5,11 +5,39 @@ use crate::tuple::{cipher_tuples, token_tuples, SliceTuple};
 use slicer_crypto::Prf;
 use slicer_crypto::Rng;
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// A SORE query token: `b` shuffled PRF values.
 pub type Token = Vec<[u8; 32]>;
 /// A SORE ciphertext: `b` shuffled PRF values.
 pub type Ciphertext = Vec<[u8; 32]>;
+
+/// Errors surfaced by [`SoreScheme`] instead of panicking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SoreError {
+    /// The requested bit width is outside `1..=64`.
+    BadWidth(u8),
+    /// A plaintext does not fit the scheme's `bits`-bit domain.
+    OutOfDomain {
+        /// The offending plaintext.
+        value: u64,
+        /// The scheme's bit width.
+        bits: u8,
+    },
+}
+
+impl fmt::Display for SoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SoreError::BadWidth(bits) => write!(f, "bit width {bits} is not in 1..=64"),
+            SoreError::OutOfDomain { value, bits } => {
+                write!(f, "plaintext {value} exceeds the {bits}-bit domain")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SoreError {}
 
 /// The Succinct Order-Revealing Encryption scheme.
 ///
@@ -23,11 +51,14 @@ pub type Ciphertext = Vec<[u8; 32]>;
 /// use slicer_sore::{Order, SoreScheme};
 /// use slicer_crypto::HmacDrbg;
 ///
-/// let sore = SoreScheme::new(b"key", 16);
+/// # fn main() -> Result<(), slicer_sore::SoreError> {
+/// let sore = SoreScheme::new(b"key", 16)?;
 /// let mut rng = HmacDrbg::from_u64(1);
-/// let ct = sore.encrypt(1000, &mut rng);
-/// assert!(SoreScheme::compare(&ct, &sore.token(1500, Order::Greater, &mut rng)));
-/// assert!(!SoreScheme::compare(&ct, &sore.token(500, Order::Greater, &mut rng)));
+/// let ct = sore.encrypt(1000, &mut rng)?;
+/// assert!(SoreScheme::compare(&ct, &sore.token(1500, Order::Greater, &mut rng)?));
+/// assert!(!SoreScheme::compare(&ct, &sore.token(500, Order::Greater, &mut rng)?));
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoreScheme {
@@ -39,15 +70,17 @@ pub struct SoreScheme {
 impl SoreScheme {
     /// Creates a scheme for `bits`-bit plaintexts under PRF key `key`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `1 <= bits <= 64`.
-    pub fn new(key: &[u8], bits: u8) -> Self {
-        assert!((1..=64).contains(&bits), "bit width must be in 1..=64");
-        SoreScheme {
+    /// [`SoreError::BadWidth`] unless `1 <= bits <= 64`.
+    pub fn new(key: &[u8], bits: u8) -> Result<Self, SoreError> {
+        if !(1..=64).contains(&bits) {
+            return Err(SoreError::BadWidth(bits));
+        }
+        Ok(SoreScheme {
             prf: Prf::new(key),
             bits,
-        }
+        })
     }
 
     /// The plaintext bit width `b` (and hence tuple count per value).
@@ -56,53 +89,78 @@ impl SoreScheme {
     }
 
     /// Validates that a plaintext fits the domain.
-    fn check_domain(&self, v: u64) {
-        assert!(
-            self.bits == 64 || v < (1u64 << self.bits),
-            "plaintext {v} exceeds the {}-bit domain",
-            self.bits
-        );
+    fn check_domain(&self, v: u64) -> Result<(), SoreError> {
+        if self.bits == 64 || v < (1u64 << self.bits) {
+            Ok(())
+        } else {
+            Err(SoreError::OutOfDomain {
+                value: v,
+                bits: self.bits,
+            })
+        }
     }
 
     /// `SORE.Token(k, v, oc)`: shuffled PRF images of the `b` token tuples.
-    pub fn token<R: Rng + ?Sized>(&self, v: u64, oc: Order, rng: &mut R) -> Token {
+    ///
+    /// # Errors
+    ///
+    /// [`SoreError::OutOfDomain`] if `v` does not fit the domain.
+    pub fn token<R: Rng + ?Sized>(
+        &self,
+        v: u64,
+        oc: Order,
+        rng: &mut R,
+    ) -> Result<Token, SoreError> {
         self.token_with_attr(b"", v, oc, rng)
     }
 
     /// Multi-attribute variant of [`SoreScheme::token`] (Section V-F).
+    ///
+    /// # Errors
+    ///
+    /// [`SoreError::OutOfDomain`] if `v` does not fit the domain.
     pub fn token_with_attr<R: Rng + ?Sized>(
         &self,
         attr: &[u8],
         v: u64,
         oc: Order,
         rng: &mut R,
-    ) -> Token {
-        self.check_domain(v);
-        let mut out: Vec<[u8; 32]> = token_tuples(attr, v, self.bits, oc)
-            .iter()
-            .map(|t| self.prf.eval(&t.encode()))
-            .collect();
-        shuffle(&mut out, rng);
-        out
+    ) -> Result<Token, SoreError> {
+        self.check_domain(v)?;
+        Ok(self.masked_shuffled(&token_tuples(attr, v, self.bits, oc), rng))
     }
 
     /// `SORE.Encrypt(k, v)`: shuffled PRF images of the `b` cipher tuples.
-    pub fn encrypt<R: Rng + ?Sized>(&self, v: u64, rng: &mut R) -> Ciphertext {
+    ///
+    /// # Errors
+    ///
+    /// [`SoreError::OutOfDomain`] if `v` does not fit the domain.
+    pub fn encrypt<R: Rng + ?Sized>(&self, v: u64, rng: &mut R) -> Result<Ciphertext, SoreError> {
         self.encrypt_with_attr(b"", v, rng)
     }
 
     /// Multi-attribute variant of [`SoreScheme::encrypt`].
+    ///
+    /// # Errors
+    ///
+    /// [`SoreError::OutOfDomain`] if `v` does not fit the domain.
     pub fn encrypt_with_attr<R: Rng + ?Sized>(
         &self,
         attr: &[u8],
         v: u64,
         rng: &mut R,
-    ) -> Ciphertext {
-        self.check_domain(v);
-        let mut out: Vec<[u8; 32]> = cipher_tuples(attr, v, self.bits)
-            .iter()
-            .map(|t| self.prf.eval(&t.encode()))
-            .collect();
+    ) -> Result<Ciphertext, SoreError> {
+        self.check_domain(v)?;
+        Ok(self.masked_shuffled(&cipher_tuples(attr, v, self.bits), rng))
+    }
+
+    /// PRF images of `tuples`, shuffled.
+    fn masked_shuffled<R: Rng + ?Sized>(
+        &self,
+        tuples: &[SliceTuple],
+        rng: &mut R,
+    ) -> Vec<[u8; 32]> {
+        let mut out: Vec<[u8; 32]> = tuples.iter().map(|t| self.prf.eval(&t.encode())).collect();
         shuffle(&mut out, rng);
         out
     }
@@ -120,20 +178,6 @@ impl SoreScheme {
     pub fn common_count(a: &[[u8; 32]], b: &[[u8; 32]]) -> usize {
         let set: BTreeSet<&[u8; 32]> = a.iter().collect();
         b.iter().filter(|x| set.contains(*x)).count()
-    }
-
-    /// Raw (pre-PRF) ciphertext tuples — the SSE keywords `w = ct_i` that
-    /// Algorithm 1 indexes.
-    pub fn cipher_slice_tuples(&self, attr: &[u8], v: u64) -> Vec<SliceTuple> {
-        self.check_domain(v);
-        cipher_tuples(attr, v, self.bits)
-    }
-
-    /// Raw (pre-PRF) token tuples — what Algorithm 3 turns into search
-    /// tokens.
-    pub fn token_slice_tuples(&self, attr: &[u8], v: u64, oc: Order) -> Vec<SliceTuple> {
-        self.check_domain(v);
-        token_tuples(attr, v, self.bits, oc)
     }
 }
 
@@ -158,13 +202,13 @@ mod tests {
 
     #[test]
     fn theorem1_exhaustive_4bit() {
-        let sore = SoreScheme::new(b"k", 4);
+        let sore = SoreScheme::new(b"k", 4).unwrap();
         let mut r = rng();
         for x in 0u64..16 {
             for y in 0u64..16 {
                 for oc in [Order::Greater, Order::Less] {
-                    let tk = sore.token(x, oc, &mut r);
-                    let ct = sore.encrypt(y, &mut r);
+                    let tk = sore.token(x, oc, &mut r).unwrap();
+                    let ct = sore.encrypt(y, &mut r).unwrap();
                     assert_eq!(
                         SoreScheme::compare(&ct, &tk),
                         oc.holds(x, y),
@@ -177,17 +221,17 @@ mod tests {
 
     #[test]
     fn equal_values_never_match_order_token() {
-        let sore = SoreScheme::new(b"k", 8);
+        let sore = SoreScheme::new(b"k", 8).unwrap();
         let mut r = rng();
         for v in [0u64, 1, 127, 128, 255] {
-            let ct = sore.encrypt(v, &mut r);
+            let ct = sore.encrypt(v, &mut r).unwrap();
             assert!(!SoreScheme::compare(
                 &ct,
-                &sore.token(v, Order::Greater, &mut r)
+                &sore.token(v, Order::Greater, &mut r).unwrap()
             ));
             assert!(!SoreScheme::compare(
                 &ct,
-                &sore.token(v, Order::Less, &mut r)
+                &sore.token(v, Order::Less, &mut r).unwrap()
             ));
         }
     }
@@ -195,12 +239,12 @@ mod tests {
     #[test]
     fn at_most_one_common_tuple() {
         // The core lemma of Theorem 1's proof.
-        let sore = SoreScheme::new(b"k", 8);
+        let sore = SoreScheme::new(b"k", 8).unwrap();
         let mut r = rng();
         for x in (0u64..256).step_by(7) {
             for y in (0u64..256).step_by(11) {
-                let tk = sore.token(x, Order::Greater, &mut r);
-                let ct = sore.encrypt(y, &mut r);
+                let tk = sore.token(x, Order::Greater, &mut r).unwrap();
+                let ct = sore.encrypt(y, &mut r).unwrap();
                 assert!(SoreScheme::common_count(&ct, &tk) <= 1, "x={x} y={y}");
             }
         }
@@ -208,44 +252,64 @@ mod tests {
 
     #[test]
     fn domain_edges_64bit() {
-        let sore = SoreScheme::new(b"k", 64);
+        let sore = SoreScheme::new(b"k", 64).unwrap();
         let mut r = rng();
-        let ct = sore.encrypt(u64::MAX, &mut r);
+        let ct = sore.encrypt(u64::MAX, &mut r).unwrap();
         assert!(SoreScheme::compare(
             &ct,
-            &sore.token(u64::MAX - 1, Order::Less, &mut r)
+            &sore.token(u64::MAX - 1, Order::Less, &mut r).unwrap()
         ));
-        let ct0 = sore.encrypt(0, &mut r);
+        let ct0 = sore.encrypt(0, &mut r).unwrap();
         assert!(SoreScheme::compare(
             &ct0,
-            &sore.token(1, Order::Greater, &mut r)
+            &sore.token(1, Order::Greater, &mut r).unwrap()
         ));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
     fn out_of_domain_rejected() {
-        let sore = SoreScheme::new(b"k", 8);
-        sore.encrypt(256, &mut rng());
+        let sore = SoreScheme::new(b"k", 8).unwrap();
+        let err = SoreError::OutOfDomain {
+            value: 256,
+            bits: 8,
+        };
+        assert_eq!(sore.encrypt(256, &mut rng()), Err(err));
+        assert_eq!(sore.token(256, Order::Less, &mut rng()), Err(err));
+        assert!(sore.encrypt(255, &mut rng()).is_ok());
+    }
+
+    #[test]
+    fn bad_width_rejected() {
+        for bits in [0u8, 65, 255] {
+            assert_eq!(
+                SoreScheme::new(b"k", bits).err(),
+                Some(SoreError::BadWidth(bits))
+            );
+        }
+        assert!(SoreScheme::new(b"k", 64).is_ok());
     }
 
     #[test]
     fn different_keys_never_match() {
-        let s1 = SoreScheme::new(b"k1", 8);
-        let s2 = SoreScheme::new(b"k2", 8);
+        let s1 = SoreScheme::new(b"k1", 8).unwrap();
+        let s2 = SoreScheme::new(b"k2", 8).unwrap();
         let mut r = rng();
-        let ct = s1.encrypt(5, &mut r);
-        let tk = s2.token(6, Order::Greater, &mut r);
+        let ct = s1.encrypt(5, &mut r).unwrap();
+        let tk = s2.token(6, Order::Greater, &mut r).unwrap();
         assert!(!SoreScheme::compare(&ct, &tk));
     }
 
     #[test]
     fn attributes_are_isolated() {
-        let sore = SoreScheme::new(b"k", 8);
+        let sore = SoreScheme::new(b"k", 8).unwrap();
         let mut r = rng();
-        let ct_age = sore.encrypt_with_attr(b"age", 30, &mut r);
-        let tk_age = sore.token_with_attr(b"age", 40, Order::Greater, &mut r);
-        let tk_pay = sore.token_with_attr(b"salary", 40, Order::Greater, &mut r);
+        let ct_age = sore.encrypt_with_attr(b"age", 30, &mut r).unwrap();
+        let tk_age = sore
+            .token_with_attr(b"age", 40, Order::Greater, &mut r)
+            .unwrap();
+        let tk_pay = sore
+            .token_with_attr(b"salary", 40, Order::Greater, &mut r)
+            .unwrap();
         assert!(SoreScheme::compare(&ct_age, &tk_age));
         assert!(!SoreScheme::compare(&ct_age, &tk_pay));
     }
@@ -254,10 +318,10 @@ mod tests {
     fn shuffle_hides_position_but_not_content() {
         // Two tokens for the same (v, oc) contain the same PRF set in
         // (very likely) different order.
-        let sore = SoreScheme::new(b"k", 16);
+        let sore = SoreScheme::new(b"k", 16).unwrap();
         let mut r = rng();
-        let t1 = sore.token(12345, Order::Less, &mut r);
-        let t2 = sore.token(12345, Order::Less, &mut r);
+        let t1 = sore.token(12345, Order::Less, &mut r).unwrap();
+        let t2 = sore.token(12345, Order::Less, &mut r).unwrap();
         let s1: BTreeSet<_> = t1.iter().collect();
         let s2: BTreeSet<_> = t2.iter().collect();
         assert_eq!(s1, s2);
@@ -268,11 +332,11 @@ mod tests {
     fn theorem1_random_32bit() {
         prop_check!(0x5041, 64, |g| {
             let (x, y) = (g.u32(), g.u32());
-            let sore = SoreScheme::new(b"prop", 32);
+            let sore = SoreScheme::new(b"prop", 32).unwrap();
             let mut r = rng();
-            let ct = sore.encrypt(y as u64, &mut r);
+            let ct = sore.encrypt(y as u64, &mut r).unwrap();
             for oc in [Order::Greater, Order::Less] {
-                let tk = sore.token(x as u64, oc, &mut r);
+                let tk = sore.token(x as u64, oc, &mut r).unwrap();
                 prop_assert_eq!(SoreScheme::compare(&ct, &tk), oc.holds(x as u64, y as u64));
             }
             Ok(())
@@ -286,10 +350,10 @@ mod tests {
             // common count == b - (index of first differing bit) ... which
             // equals the shared-prefix tuple count. Verify the relationship.
             let (x, y) = (g.u16(), g.u16());
-            let sore = SoreScheme::new(b"prop", 16);
+            let sore = SoreScheme::new(b"prop", 16).unwrap();
             let mut r = rng();
-            let t1 = sore.token(x as u64, Order::Greater, &mut r);
-            let t2 = sore.token(y as u64, Order::Greater, &mut r);
+            let t1 = sore.token(x as u64, Order::Greater, &mut r).unwrap();
+            let t2 = sore.token(y as u64, Order::Greater, &mut r).unwrap();
             let common = SoreScheme::common_count(&t1, &t2);
             if x == y {
                 prop_assert_eq!(common, 16);

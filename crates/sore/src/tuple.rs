@@ -83,14 +83,13 @@ pub fn cipher_tuples(attr: &[u8], value: u64, bits: u8) -> Vec<SliceTuple> {
     slicer_telemetry::global::count("sore.cipher_tuples", u64::from(bits));
     (1..=bits)
         .map(|i| {
-            let v_i = bit_at(value, bits, i);
-            let flipped = !v_i;
+            let flipped = !bit_at(value, bits, i);
             SliceTuple {
                 attr: attr.to_vec(),
                 index: i,
                 prefix: prefix_at(value, bits, i),
                 bit: flipped,
-                op: Order::cmp_bits(flipped, v_i),
+                op: Order::cmp_flipped(flipped),
             }
         })
         .collect()

@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn restored_prime_list_lookup_works() {
-        let mut list: PrimeList = (0u64..8).map(|i| BigUint::from(100 + i)).collect();
+        let list: PrimeList = (0u64..8).map(|i| BigUint::from(100 + i)).collect();
         let bytes = to_bytes(&list).unwrap();
         let mut back: PrimeList = from_bytes(&bytes).unwrap();
         assert_eq!(

@@ -20,11 +20,11 @@ pub struct DuplicateLabelError {
 
 impl fmt::Display for DuplicateLabelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "index label {:02x}{:02x}… already present",
-            self.label[0], self.label[1]
-        )
+        f.write_str("index label ")?;
+        for b in self.label.iter().take(2) {
+            write!(f, "{b:02x}")?;
+        }
+        f.write_str("… already present")
     }
 }
 

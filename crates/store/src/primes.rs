@@ -2,9 +2,10 @@
 
 use slicer_bignum::BigUint;
 use slicer_crypto::codec::{CodecError, Decode, Encode, Reader};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// An append-only list of prime representatives with O(1) index lookup.
+/// An append-only list of distinct prime representatives with
+/// O(log q) index lookup.
 ///
 /// Algorithm 2 never removes primes — superseded keyword states stay
 /// accumulated, and freshness is enforced by the *user's* token pointing at
@@ -13,7 +14,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct PrimeList {
     primes: Vec<BigUint>,
-    positions: HashMap<BigUint, usize>,
+    positions: BTreeMap<BigUint, usize>,
 }
 
 impl Encode for PrimeList {
@@ -24,13 +25,18 @@ impl Encode for PrimeList {
 }
 
 impl Decode for PrimeList {
+    /// Rebuilds the lookup table; a list naming the same prime twice is
+    /// rejected, since [`PrimeList::push`] can never produce one.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
         let primes = Vec::<BigUint>::decode(reader)?;
-        let positions = primes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
+        let mut positions = BTreeMap::new();
+        for (i, p) in primes.iter().enumerate() {
+            if let Some(first) = positions.insert(p.clone(), i) {
+                return Err(CodecError::msg(format!(
+                    "prime list repeats entry {first} at {i}"
+                )));
+            }
+        }
         Ok(PrimeList { primes, positions })
     }
 }
@@ -44,7 +50,6 @@ impl PrimeList {
     /// Appends a prime, returning its index. Re-adding an existing prime
     /// returns the original index without duplicating it.
     pub fn push(&mut self, prime: BigUint) -> usize {
-        self.rebuild_if_needed();
         if let Some(&i) = self.positions.get(&prime) {
             return i;
         }
@@ -55,8 +60,7 @@ impl PrimeList {
     }
 
     /// Index of a prime, if present.
-    pub fn position(&mut self, prime: &BigUint) -> Option<usize> {
-        self.rebuild_if_needed();
+    pub fn position(&self, prime: &BigUint) -> Option<usize> {
         self.positions.get(prime).copied()
     }
 
@@ -81,18 +85,6 @@ impl PrimeList {
             .iter()
             .map(|p| p.bit_len().div_ceil(8) as usize)
             .sum()
-    }
-
-    /// Restores the lookup table after deserialization (only the primes travel).
-    fn rebuild_if_needed(&mut self) {
-        if self.positions.len() != self.primes.len() {
-            self.positions = self
-                .primes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.clone(), i))
-                .collect();
-        }
     }
 }
 
@@ -151,5 +143,12 @@ mod tests {
         list.push(p(0xFFFF)); // 2 bytes
         list.push(p(0xFF)); // 1 byte
         assert_eq!(list.size_bytes(), 3);
+    }
+
+    #[test]
+    fn codec_rejects_duplicate_prime() {
+        let bytes = slicer_crypto::codec::to_bytes(&vec![p(101), p(103), p(101)]).unwrap();
+        let err = slicer_crypto::codec::from_bytes::<PrimeList>(&bytes).unwrap_err();
+        assert!(err.to_string().contains("repeats"), "{err}");
     }
 }

@@ -61,8 +61,8 @@ fn same_seed_same_search_tokens() {
         Query::less_than(100),
         Query::greater_than(13),
     ] {
-        let ta = a.instance().owner.search_tokens(&q);
-        let tb = b.instance().owner.search_tokens(&q);
+        let ta = a.instance().owner.search_tokens(&q).unwrap();
+        let tb = b.instance().owner.search_tokens(&q).unwrap();
         assert_eq!(
             to_bytes(&ta).expect("encodes"),
             to_bytes(&tb).expect("encodes"),

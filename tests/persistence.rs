@@ -52,7 +52,7 @@ fn restored_cloud_serves_verifiable_results() {
         state,
     );
 
-    let tokens = owner.search_tokens(&Query::less_than(100));
+    let tokens = owner.search_tokens(&Query::less_than(100)).unwrap();
     let resp = restored.respond(&tokens).unwrap();
     let params = &owner.config().accumulator;
     let acc = slicer_accumulator::Accumulator::from_value(params, owner.accumulator().clone());
@@ -82,7 +82,7 @@ fn restored_cloud_accepts_further_inserts() {
 
     let delta = owner.insert(&[(RecordId::from_u64(500), 11)]).unwrap();
     restored.ingest(&delta).unwrap();
-    let tokens = owner.search_tokens(&Query::equal(11));
+    let tokens = owner.search_tokens(&Query::equal(11)).unwrap();
     let results = restored.search(&tokens);
     let total: usize = results.iter().map(|r| r.er.len()).sum();
     // Value 11 appears for i=1 (11) plus the insert.
@@ -92,7 +92,7 @@ fn restored_cloud_accepts_further_inserts() {
 #[test]
 fn search_token_and_query_roundtrip() {
     let (owner, _) = owner_with_data();
-    let tokens = owner.search_tokens(&Query::less_than(77));
+    let tokens = owner.search_tokens(&Query::less_than(77)).unwrap();
     let bytes = to_bytes(&tokens).expect("encodes");
     let back: Vec<slicer_core::SearchToken> = from_bytes(&bytes).expect("decodes");
     assert_eq!(back, tokens);
