@@ -1,7 +1,9 @@
-//! Reproduction driver: regenerates every table and figure of the paper.
+//! Reproduction driver: regenerates every table and figure of the paper,
+//! and compares bench-JSON baselines.
 //!
 //! ```text
 //! cargo run -p slicer-bench --release --bin repro -- [--experiment ID] [--scale F] [--queries N] [--csv DIR]
+//! cargo run -p slicer-bench --release --bin repro -- --diff <baseline.json> <candidate.json>
 //! ```
 //!
 //! * `--experiment` — `all` (default), `fig3`, `fig4` (runs with fig3),
@@ -12,10 +14,22 @@
 //!   (default 0.05; use 1.0 for the full-size runs).
 //! * `--queries` — queries averaged per search data point (default 3).
 //! * `--csv` — also write each table as CSV into this directory.
+//! * `--diff` — compare two bench-JSON documents instead of running an
+//!   experiment: counters, gauges and histogram counts must match
+//!   exactly, timing is informational. Exit 0 when clean, 1 on a
+//!   regression or a missing metric.
+//!
+//! Malformed arguments print the usage line and exit 2.
 
-use slicer_bench::experiments;
-use slicer_bench::Table;
-use std::path::PathBuf;
+use slicer_bench::{experiments, load_bench_json, Table};
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: repro [--experiment all|fig3|fig5|fig7|table2|bench] [--scale F] [--queries N] [--csv DIR]\n       repro --diff <baseline.json> <candidate.json>";
+
+enum Command {
+    Run(Args),
+    Diff(PathBuf, PathBuf),
+}
 
 struct Args {
     experiment: String,
@@ -24,53 +38,82 @@ struct Args {
     csv: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Result<Command, String> {
     let mut args = Args {
         experiment: "all".into(),
         scale: 0.05,
         queries: 3,
         csv: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter();
     while let Some(a) = it.next() {
+        let mut value = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
         match a.as_str() {
-            "--experiment" | "-e" => {
-                args.experiment = it.next().expect("--experiment needs a value");
-            }
+            "--experiment" | "-e" => args.experiment = value("--experiment")?,
             "--scale" | "-s" => {
-                args.scale = it
-                    .next()
-                    .expect("--scale needs a value")
+                let v = value("--scale")?;
+                args.scale = v
                     .parse()
-                    .expect("--scale must be a float");
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale must be a positive number, got {v:?}"))?;
             }
             "--queries" | "-q" => {
-                args.queries = it
-                    .next()
-                    .expect("--queries needs a value")
-                    .parse()
-                    .expect("--queries must be an integer");
+                let v = value("--queries")?;
+                args.queries =
+                    v.parse().ok().filter(|q| *q > 0).ok_or_else(|| {
+                        format!("--queries must be a positive integer, got {v:?}")
+                    })?;
             }
-            "--csv" => {
-                args.csv = Some(PathBuf::from(it.next().expect("--csv needs a directory")));
+            "--csv" => args.csv = Some(PathBuf::from(value("--csv")?)),
+            "--diff" => {
+                return match (it.next(), it.next(), it.next()) {
+                    (Some(baseline), Some(candidate), None) => {
+                        Ok(Command::Diff(baseline.into(), candidate.into()))
+                    }
+                    _ => Err("--diff takes exactly two files".into()),
+                };
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--experiment all|fig3|fig5|fig7|table2|bench] [--scale F] [--queries N] [--csv DIR]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(Command::Run(args))
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&argv) {
+        Ok(Command::Run(args)) => run(&args),
+        Ok(Command::Diff(baseline, candidate)) => match diff(&baseline, &candidate) {
+            Ok(code) => std::process::exit(code),
+            Err(e) => {
+                eprintln!("repro: {e}");
+                std::process::exit(2);
+            }
+        },
+        Err(e) => {
+            eprintln!("repro: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `--diff`: prints the report; 0 when clean, 1 on a regression.
+fn diff(baseline: &Path, candidate: &Path) -> Result<i32, String> {
+    let report = slicer_testkit::diff(&load_bench_json(baseline)?, &load_bench_json(candidate)?);
+    print!("{}", report.render());
+    Ok(if report.ok() { 0 } else { 1 })
+}
+
+fn run(args: &Args) {
     println!(
         "Slicer reproduction — experiment={} scale={} queries={}",
         args.experiment, args.scale, args.queries
@@ -93,7 +136,7 @@ fn main() {
             experiments::telemetry_experiment(args.scale, args.queries, args.csv.as_deref())
         }
         other => {
-            eprintln!("unknown experiment {other}; try --help");
+            eprintln!("repro: unknown experiment {other}\n{USAGE}");
             std::process::exit(2);
         }
     };
@@ -106,19 +149,5 @@ fn main() {
     }
     if let Some(dir) = &args.csv {
         println!("\nCSV written to {}", dir.display());
-    }
-    // The bench experiment mirrors its telemetry exports to the working
-    // directory so tooling expecting ./BENCH_*.json finds them without
-    // knowing --csv.
-    if matches!(args.experiment.as_str(), "bench" | "telemetry") {
-        if let Some(dir) = &args.csv {
-            for name in ["BENCH_build.json", "BENCH_search.json"] {
-                let src = dir.join(name);
-                if src.exists() {
-                    std::fs::copy(&src, name).expect("working directory is writable");
-                    println!("mirrored {} -> ./{name}", src.display());
-                }
-            }
-        }
     }
 }

@@ -4,7 +4,9 @@
 //! paper's evaluation (Section VII), plus ablations.
 //!
 //! Run `cargo run -p slicer-bench --release --bin repro -- --help` for the
-//! experiment driver; Criterion micro-benchmarks live in `benches/`.
+//! experiment driver, which also writes and compares the committed
+//! `results/BENCH_*.json` baselines; testkit micro-benchmarks live in
+//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +15,20 @@ pub mod experiments;
 pub mod table;
 
 pub use table::Table;
+
+use slicer_testkit::{parse_bench_json, BenchDoc};
+use std::path::Path;
+
+/// Reads and parses one bench-JSON file.
+///
+/// # Errors
+///
+/// A message naming the file that could not be read or parsed.
+pub fn load_bench_json(path: &Path) -> Result<BenchDoc, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_bench_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
 
 /// The record-count sweep of the paper (10K–160K), scaled by `scale`.
 pub fn record_sweep(scale: f64) -> Vec<usize> {

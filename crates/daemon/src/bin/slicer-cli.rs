@@ -11,7 +11,6 @@
 //! slicer-cli --connect <endpoint> profile [--svg] [--gas] [--check]
 //! slicer-cli --connect <endpoint> shutdown
 //! slicer-cli flightrec <path>
-//! slicer-cli bench-diff <baseline.json> <candidate.json> [--timing-rel <pct>]
 //! ```
 //!
 //! `profile` pulls the daemon's live span aggregate as collapsed stacks
@@ -21,11 +20,10 @@
 //! against the metrics surface instead of printing it.
 //!
 //! `flightrec` decodes a crash flight-recorder segment straight from
-//! disk and `bench-diff` compares two bench-JSON documents — neither
-//! needs a daemon. Exit status: 0 on success; 1 when a search is
-//! unverified, the chain fails verification, a flight recording shows an
-//! in-flight (crashed) request, or a bench diff finds a regression; 2 on
-//! usage, transport, daemon or validation errors.
+//! disk and needs no daemon. Exit status: 0 on success; 1 when a search
+//! is unverified, the chain fails verification, or a flight recording
+//! shows an in-flight (crashed) request; 2 on usage, transport, daemon or
+//! validation errors.
 
 use slicer_core::Query;
 use slicer_daemon::{
@@ -48,8 +46,7 @@ const USAGE: &str = "usage: slicer-cli --connect <endpoint> \
                      | verify | stat | metrics [--json|--check] | tail [<n>] \
                      | top [--interval-ms <n>] | profile [--svg] [--gas] [--check] \
                      | shutdown) \
-                     — or: slicer-cli flightrec <path> \
-                     — or: slicer-cli bench-diff <baseline.json> <candidate.json> [--timing-rel <pct>]";
+                     — or: slicer-cli flightrec <path>";
 
 fn run(args: Vec<String>) -> Result<i32, DaemonError> {
     let mut it = args.iter();
@@ -71,13 +68,9 @@ fn run(args: Vec<String>) -> Result<i32, DaemonError> {
         }
     }
     let (name, rest) = command.ok_or_else(|| DaemonError::Config(USAGE.into()))?;
-    // The flight-recorder decoder and the bench comparator read files,
-    // not a socket.
+    // The flight-recorder decoder reads a file, not a socket.
     if name == "flightrec" {
         return flightrec(&rest);
-    }
-    if name == "bench-diff" {
-        return bench_diff(&rest);
     }
     let endpoint = connect.ok_or_else(|| DaemonError::Config("--connect is required".into()))?;
     let mut client = DaemonClient::connect(&endpoint)?;
@@ -496,47 +489,6 @@ fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
         wall.stacks, wall.dropped_stacks
     );
     Ok(if ok { 0 } else { 2 })
-}
-
-/// `bench-diff <baseline> <candidate> [--timing-rel <pct>]` — compare
-/// two bench-JSON documents with the testkit comparator. Deterministic
-/// metrics (counters, gauges, histogram counts) must match exactly;
-/// timing metrics are informational unless `--timing-rel` supplies a
-/// tolerance in percent. Exit 0 when clean, 1 on regression.
-fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
-    let mut paths = Vec::new();
-    let mut config = slicer_testkit::DiffConfig::default();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--timing-rel" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DaemonError::Config("--timing-rel needs a value".into()))?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|_| DaemonError::Config(format!("bad --timing-rel {v:?}")))?;
-                config.timing_rel = Some(pct / 100.0);
-            }
-            _ => paths.push(arg.clone()),
-        }
-    }
-    let [baseline, candidate] = paths.as_slice() else {
-        return Err(DaemonError::Config(
-            "bench-diff wants exactly two files: <baseline.json> <candidate.json>".into(),
-        ));
-    };
-    let load = |path: &str| -> Result<slicer_testkit::BenchDoc, DaemonError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| DaemonError::Config(format!("cannot read {path}: {e}")))?;
-        slicer_testkit::parse_bench_json(&text)
-            .map_err(|e| DaemonError::Config(format!("{path}: {e}")))
-    };
-    let old = load(baseline)?;
-    let new = load(candidate)?;
-    let report = slicer_testkit::diff(&old, &new, &config);
-    print!("{}", report.render());
-    Ok(if report.ok() { 0 } else { 1 })
 }
 
 fn counter(reply: &MetricsReply, name: &str) -> u64 {

@@ -5,8 +5,9 @@
 //! [`HistogramSummary`] (count/sum/min/max + p50/p90/p99). Snapshots are
 //! what crosses process boundaries — as Prometheus exposition text or as
 //! a single JSON document. The JSON schema is shared by the metrics
-//! exporter, the testkit micro-bench reporter and the `results/BENCH_*`
-//! baseline files, so every measurement in the repo diffs the same way.
+//! exporter, the testkit micro-bench reporter and the committed
+//! `results/BENCH_*.json` baselines, so every measurement in the repo
+//! diffs the same way, with `repro --diff`.
 
 use crate::json;
 use crate::metrics::Metrics;

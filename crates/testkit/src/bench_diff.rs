@@ -6,11 +6,11 @@
 //! the protocol *counts* — counters, gauges and histogram observation
 //! counts — must match the baseline exactly, while everything the clock
 //! *measures* — `.ns` sums, percentiles, `*_ns` gauges — is noise-prone
-//! and stays informational unless a relative tolerance is supplied.
-//! That split is what lets `scripts/ci.sh` regenerate a bench run on any
-//! machine and still fail hard on a real regression (a gas counter or
-//! event count drifting from the committed baseline) without flaking on
-//! wall-clock jitter.
+//! and stays informational. That split is what lets `repro --diff` (the
+//! gate in `scripts/ci.sh`) regenerate a bench run on any machine and
+//! still fail hard on a real regression (a gas counter or event count
+//! drifting from the committed baseline) without flaking on wall-clock
+//! jitter.
 //!
 //! [`Snapshot::to_json`]: slicer_telemetry::Snapshot::to_json
 
@@ -248,15 +248,6 @@ enum Section {
     Histograms(BTreeMap<String, BTreeMap<String, u64>>),
 }
 
-/// Noise model for one diff run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiffConfig {
-    /// Allowed relative change on timing metrics before they count as a
-    /// regression/improvement (`0.25` = ±25%). `None` (the default)
-    /// leaves timing metrics informational — they never fail the gate.
-    pub timing_rel: Option<f64>,
-}
-
 /// One metric whose value changed between the two documents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricDelta {
@@ -286,14 +277,10 @@ impl MetricDelta {
 /// The typed outcome of one [`diff`] run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffReport {
-    /// Hard failures: exact-class metrics that drifted, or timing
-    /// metrics beyond the configured tolerance in the slow direction.
+    /// Hard failures: exact-class metrics that drifted in either
+    /// direction.
     pub regressions: Vec<MetricDelta>,
-    /// Timing metrics beyond tolerance in the fast direction (only
-    /// populated when a tolerance is configured).
-    pub improvements: Vec<MetricDelta>,
-    /// Informational timing drift (no tolerance configured, or within
-    /// it).
+    /// Informational timing drift; never fails the gate.
     pub timing: Vec<MetricDelta>,
     /// Metrics present in the baseline but absent from the candidate —
     /// always a failure (coverage must not silently shrink).
@@ -327,15 +314,6 @@ impl DiffReport {
         for name in &self.missing {
             out.push_str(&format!("bench-diff MISSING {name}\n"));
         }
-        for d in &self.improvements {
-            out.push_str(&format!(
-                "bench-diff improvement {} old={} new={} ({:+.1}%)\n",
-                d.name,
-                d.old,
-                d.new,
-                d.percent()
-            ));
-        }
         for d in &self.timing {
             out.push_str(&format!(
                 "bench-diff timing {} old={} new={} ({:+.1}%)\n",
@@ -349,12 +327,11 @@ impl DiffReport {
             out.push_str(&format!("bench-diff added {name}\n"));
         }
         out.push_str(&format!(
-            "bench-diff {} compared={} regressions={} missing={} improvements={} timing={} added={}\n",
+            "bench-diff {} compared={} regressions={} missing={} timing={} added={}\n",
             if self.ok() { "ok" } else { "FAILED" },
             self.compared,
             self.regressions.len(),
             self.missing.len(),
-            self.improvements.len(),
             self.timing.len(),
             self.added.len()
         ));
@@ -381,8 +358,8 @@ fn is_timing(name: &str) -> bool {
 }
 
 /// Compares `new` (the fresh run) against `old` (the committed
-/// baseline) under `config`, returning the typed report.
-pub fn diff(old: &BenchDoc, new: &BenchDoc, config: &DiffConfig) -> DiffReport {
+/// baseline), returning the typed report.
+pub fn diff(old: &BenchDoc, new: &BenchDoc) -> DiffReport {
     let mut report = DiffReport::default();
 
     for (section, old_map, new_map) in [
@@ -393,7 +370,6 @@ pub fn diff(old: &BenchDoc, new: &BenchDoc, config: &DiffConfig) -> DiffReport {
         for name in names {
             compare(
                 &mut report,
-                config,
                 format!("{section}/{name}"),
                 old_map.get(name).copied(),
                 new_map.get(name).copied(),
@@ -410,7 +386,6 @@ pub fn diff(old: &BenchDoc, new: &BenchDoc, config: &DiffConfig) -> DiffReport {
                 for field in fields {
                     compare(
                         &mut report,
-                        config,
                         format!("histograms/{name}/{field}"),
                         o.get(field).copied(),
                         n.get(field).copied(),
@@ -426,13 +401,7 @@ pub fn diff(old: &BenchDoc, new: &BenchDoc, config: &DiffConfig) -> DiffReport {
 }
 
 /// Classifies one shared-or-one-sided metric value pair into the report.
-fn compare(
-    report: &mut DiffReport,
-    config: &DiffConfig,
-    name: String,
-    old_v: Option<u64>,
-    new_v: Option<u64>,
-) {
+fn compare(report: &mut DiffReport, name: String, old_v: Option<u64>, new_v: Option<u64>) {
     match (old_v, new_v) {
         (Some(o), Some(n)) => {
             report.compared += 1;
@@ -444,19 +413,10 @@ fn compare(
                 old: o,
                 new: n,
             };
-            if !is_timing(&delta.name) {
-                report.regressions.push(delta);
-            } else if let Some(rel) = config.timing_rel {
-                let bound = o as f64 * rel;
-                if n as f64 > o as f64 + bound {
-                    report.regressions.push(delta);
-                } else if (n as f64) < o as f64 - bound {
-                    report.improvements.push(delta);
-                } else {
-                    report.timing.push(delta);
-                }
-            } else {
+            if is_timing(&delta.name) {
                 report.timing.push(delta);
+            } else {
+                report.regressions.push(delta);
             }
         }
         (Some(_), None) => report.missing.push(name),
@@ -507,7 +467,7 @@ mod tests {
     #[test]
     fn identical_documents_diff_clean() {
         let doc = parse_bench_json(SAMPLE).unwrap();
-        let report = diff(&doc, &doc, &DiffConfig::default());
+        let report = diff(&doc, &doc);
         assert!(report.ok());
         assert!(report.regressions.is_empty());
         assert!(report.timing.is_empty());
@@ -521,7 +481,7 @@ mod tests {
         for new_value in [63653u64, 63655] {
             let mut new = old.clone();
             new.counters.insert("phase.build.gas".into(), new_value);
-            let report = diff(&old, &new, &DiffConfig::default());
+            let report = diff(&old, &new);
             assert!(!report.ok());
             assert_eq!(report.regressions.len(), 1);
             assert_eq!(report.regressions[0].name, "counters/phase.build.gas");
@@ -537,7 +497,7 @@ mod tests {
             .get_mut("chain.tx.ns")
             .unwrap()
             .insert("sum".into(), 99_999);
-        let report = diff(&old, &new, &DiffConfig::default());
+        let report = diff(&old, &new);
         assert!(report.ok(), "timing drift alone must not fail the gate");
         assert_eq!(report.timing.len(), 1);
 
@@ -546,50 +506,12 @@ mod tests {
             .get_mut("chain.tx.ns")
             .unwrap()
             .insert("count".into(), 2);
-        let report = diff(&old, &new, &DiffConfig::default());
+        let report = diff(&old, &new);
         assert!(
             !report.ok(),
             "observation-count drift is deterministic and must fail"
         );
         assert_eq!(report.regressions[0].name, "histograms/chain.tx.ns/count");
-    }
-
-    #[test]
-    fn timing_tolerance_splits_regressions_from_improvements() {
-        let old = parse_bench_json(SAMPLE).unwrap();
-        let config = DiffConfig {
-            timing_rel: Some(0.10),
-        };
-        let mut slower = old.clone();
-        slower
-            .histograms
-            .get_mut("chain.tx.ns")
-            .unwrap()
-            .insert("sum".into(), 20_000);
-        let report = diff(&old, &slower, &config);
-        assert!(!report.ok());
-        assert_eq!(report.regressions[0].name, "histograms/chain.tx.ns/sum");
-
-        let mut faster = old.clone();
-        faster
-            .histograms
-            .get_mut("chain.tx.ns")
-            .unwrap()
-            .insert("sum".into(), 10_000);
-        let report = diff(&old, &faster, &config);
-        assert!(report.ok());
-        assert_eq!(report.improvements.len(), 1);
-
-        let mut steady = old.clone();
-        steady
-            .histograms
-            .get_mut("chain.tx.ns")
-            .unwrap()
-            .insert("sum".into(), 15_600);
-        let report = diff(&old, &steady, &config);
-        assert!(report.ok());
-        assert_eq!(report.timing.len(), 1);
-        assert!(report.regressions.is_empty() && report.improvements.is_empty());
     }
 
     #[test]
@@ -599,7 +521,7 @@ mod tests {
         new.counters.remove("phase.setup.gas");
         new.counters.insert("phase.extra.gas".into(), 7);
         new.histograms.remove("chain.tx.ns");
-        let report = diff(&old, &new, &DiffConfig::default());
+        let report = diff(&old, &new);
         assert!(!report.ok());
         assert_eq!(
             report.missing,
@@ -609,7 +531,7 @@ mod tests {
 
         let mut grown = old.clone();
         grown.counters.insert("phase.extra.gas".into(), 7);
-        assert!(diff(&old, &grown, &DiffConfig::default()).ok());
+        assert!(diff(&old, &grown).ok());
     }
 
     #[test]
@@ -620,18 +542,5 @@ mod tests {
         assert!(is_timing("histograms/phase.search.ns/p99"));
         assert!(!is_timing("histograms/phase.search.ns/count"));
         assert!(!is_timing("counters/phase.verify.gas"));
-    }
-
-    #[test]
-    fn committed_baselines_parse_and_self_diff_clean() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for name in ["BENCH_build.json", "BENCH_search.json"] {
-            let path = root.join(name);
-            let text = std::fs::read_to_string(&path).expect("baseline exists");
-            let path = path.display();
-            let doc = parse_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-            assert!(!doc.counters.is_empty(), "{path} has counters");
-            assert!(diff(&doc, &doc, &DiffConfig::default()).ok());
-        }
     }
 }

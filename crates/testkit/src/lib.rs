@@ -9,9 +9,9 @@
 //!   print a reproducible seed and a shrunk counterexample.
 //! * [`bench`] — a monotonic-clock micro-benchmark runner for
 //!   `harness = false` bench targets.
-//! * [`bench_diff`] — a comparator over two bench-JSON documents with a
-//!   noise-aware threshold model; `scripts/ci.sh` uses it (via
-//!   `slicer-cli bench-diff`) as the perf-regression gate.
+//! * [`bench_diff`] — a comparator over two bench-JSON documents, exact
+//!   on counts and informational on timing; `scripts/ci.sh` uses it (via
+//!   `repro --diff`) as the regression gate on the committed baselines.
 //!
 //! ```
 //! slicer_testkit::prop_check!(0x51CE, 64, |g| {
@@ -29,7 +29,5 @@ pub mod bench_diff;
 pub mod prop;
 
 pub use bench::{black_box, Bench, Stats};
-pub use bench_diff::{
-    diff, parse_bench_json, BenchDiffError, BenchDoc, DiffConfig, DiffReport, MetricDelta,
-};
+pub use bench_diff::{diff, parse_bench_json, BenchDiffError, BenchDoc, DiffReport, MetricDelta};
 pub use prop::{Gen, PropResult, DEFAULT_CASES};

@@ -7,6 +7,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# CI must never rewrite committed files: record the working tree now and
+# require it unchanged at the end (every stage writes into temp dirs).
+tree_state() {
+  git status --porcelain --untracked-files=all
+  git diff HEAD --binary | cksum
+}
+in_git=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  in_git=yes
+  tree_before="$(tree_state)"
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -75,37 +87,47 @@ for f in BENCH_build.json BENCH_search.json; do
 done
 echo "pool determinism OK"
 
-echo "==> bench-diff regression gate (counters vs committed baselines)"
-# The committed BENCH_*.json at the repo root are the performance
-# baselines. Every counter and gauge in them is machine- and
+echo "==> bench-diff regression gate (counters vs committed results/BENCH_*.json)"
+# results/BENCH_{build,search}.json are the committed baselines, generated
+# at this stage's scale. Every counter and gauge in them is machine- and
 # thread-invariant (the pool-determinism stage above proves thread
-# invariance), so the gate demands exact agreement on those, while
-# timing metrics (.ns / .iters) stay informational unless a tolerance
-# is supplied. Reuses the single-threaded transcripts generated above.
+# invariance), so `repro --diff` demands exact agreement on those, while
+# timing metrics (.ns / .iters) stay informational. Reuses the
+# single-threaded transcripts generated above.
 for f in BENCH_build.json BENCH_search.json; do
-  if ! ./target/release/slicer-cli bench-diff "$f" "$bench_tmp/t1/$f"; then
-    echo "bench-diff gate FAILED: $f drifted from the committed baseline" >&2
-    echo "  (intentional protocol change? regenerate the baseline with" >&2
+  if ! ./target/release/repro --diff "results/$f" "$bench_tmp/t1/$f"; then
+    echo "bench-diff gate FAILED: results/$f drifted from a fresh run" >&2
+    echo "  (intentional protocol change? regenerate the baselines with" >&2
     echo "   cargo run --release -p slicer-bench --bin repro -- \\" >&2
-    echo "     --experiment telemetry --scale 0.01 --queries 2 --csv .)" >&2
+    echo "     --experiment bench --scale 0.01 --queries 2 --csv results)" >&2
     exit 1
   fi
 done
-# Negative self-test: the gate has to actually bite. Inject a gas
-# regression into a copy of the candidate and require bench-diff to
-# reject it with a non-zero exit.
-sed 's/"phase.verify.gas": \([0-9]*\)/"phase.verify.gas": 9\1/' \
-  "$bench_tmp/t1/BENCH_search.json" >"$bench_tmp/regressed.json"
-if cmp -s "$bench_tmp/t1/BENCH_search.json" "$bench_tmp/regressed.json"; then
-  echo "bench-diff gate FAILED: regression injection was a no-op" >&2
-  exit 1
-fi
-if ./target/release/slicer-cli bench-diff BENCH_search.json \
-  "$bench_tmp/regressed.json" >/dev/null; then
-  echo "bench-diff gate FAILED: injected regression was not detected" >&2
-  exit 1
-fi
-echo "bench-diff gate OK (clean inputs pass, injected regression fails)"
+# Negative self-tests: the gate has to actually bite, on both sides.
+# Inject a gas regression into a copy of the fresh candidate, then into a
+# copy of the committed baseline, and require `repro --diff` to reject
+# each with exit 1, naming the counter.
+inject() {
+  sed 's/"phase.verify.gas": \([0-9]*\)/"phase.verify.gas": 9\1/' "$1" >"$2"
+  if cmp -s "$1" "$2"; then
+    echo "bench-diff gate FAILED: regression injection into $1 was a no-op" >&2
+    exit 1
+  fi
+}
+expect_regression() {
+  local rc=0 out
+  out="$(./target/release/repro --diff "$1" "$2")" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "REGRESSION counters/phase.verify.gas" <<<"$out"; then
+    echo "$out"
+    echo "bench-diff gate FAILED: injected regression in $3 was not detected (exit $rc)" >&2
+    exit 1
+  fi
+}
+inject "$bench_tmp/t1/BENCH_search.json" "$bench_tmp/regressed.json"
+expect_regression results/BENCH_search.json "$bench_tmp/regressed.json" candidate
+inject results/BENCH_search.json "$bench_tmp/tampered.json"
+expect_regression "$bench_tmp/tampered.json" "$bench_tmp/t1/BENCH_search.json" baseline
+echo "bench-diff gate OK (clean inputs pass, tampered candidate and baseline fail)"
 
 echo "==> Table II drift gate (repro --experiment table2 vs results/table2.csv)"
 # Table II is deterministic (gas is an operation-count model), so the
@@ -336,5 +358,15 @@ if [ -z "$in_flight_ok" ]; then
   exit 1
 fi
 echo "observability smoke OK"
+
+if [ -n "$in_git" ]; then
+  echo "==> working tree unchanged"
+  if [ "$(tree_state)" != "$tree_before" ]; then
+    git status --short >&2
+    echo "CI FAILED: the run changed files in the working tree" >&2
+    exit 1
+  fi
+  echo "working tree unchanged OK"
+fi
 
 echo "CI OK"
