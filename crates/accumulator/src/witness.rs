@@ -43,7 +43,6 @@ pub fn membership_witness(
             len: primes.len(),
         });
     }
-    slicer_telemetry::global::count("accumulator.witness.direct", 1);
     let mut w = params.generator().clone();
     for (i, p) in primes.iter().enumerate() {
         if i != target {
@@ -86,9 +85,6 @@ pub fn witness_batch_pooled(
     if targets.is_empty() {
         return Ok(Vec::new());
     }
-    let mut span = slicer_telemetry::global::span("accumulator.witness");
-    span.attr("targets", targets.len());
-    slicer_telemetry::global::count("accumulator.witness.batched", targets.len() as u64);
     let mut in_targets = vec![false; primes.len()];
     for &t in targets {
         let slot = in_targets

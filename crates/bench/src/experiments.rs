@@ -291,15 +291,15 @@ pub fn telemetry_experiment(
     queries: usize,
     out: Option<&std::path::Path>,
 ) -> Vec<Table> {
-    use slicer_telemetry::{global, Snapshot, TelemetryHandle};
+    use slicer_telemetry::{Snapshot, TelemetryHandle};
 
     let n = record_sweep(scale)[0];
     let db = dataset(n, 8, 42);
 
-    // Build under its own registry (global facade captures the leaf-crate
-    // counters: SORE tuples, index lookups, witness generation).
+    // Build under its own registry. Everything, chain and witness spans
+    // included, is recorded through the deployment's own handle, so
+    // concurrent runs in one process never share a registry.
     let build_handle = TelemetryHandle::enabled();
-    global::set(build_handle.clone());
     let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 42, build_handle.clone());
     sys.build(&db).expect("in-domain");
     let build_snap = build_handle.snapshot();
@@ -307,7 +307,6 @@ pub fn telemetry_experiment(
     // Search the same deployment under a fresh registry.
     let search_handle = TelemetryHandle::enabled();
     sys.instance_mut().set_telemetry(search_handle.clone());
-    global::set(search_handle.clone());
     let raw: Vec<([u8; 16], u64)> = db.iter().map(|(id, v)| (id.0, *v)).collect();
     for &v in &sample_query_values(&raw, queries, 7) {
         let outcome = sys
@@ -321,7 +320,6 @@ pub fn telemetry_experiment(
         );
     }
     let search_snap = search_handle.snapshot();
-    global::reset();
 
     if let Some(dir) = out {
         std::fs::create_dir_all(dir).expect("results directory is creatable");

@@ -140,7 +140,6 @@ impl Blockchain {
         contract: Box<dyn Contract>,
         value: u128,
     ) -> Result<DeployOutcome, ChainError> {
-        let mut span = slicer_telemetry::global::span("chain.deploy");
         let nonce = {
             let acct = self
                 .accounts
@@ -190,10 +189,6 @@ impl Blockchain {
             logs: Vec::new(),
             gas_breakdown,
         };
-        if span.is_recording() {
-            span.attr("gas.used", gas_used);
-            span.attr("tx.hash", tx_hash.to_string());
-        }
         self.pending.push(receipt.clone());
         Ok(DeployOutcome {
             address,
@@ -215,7 +210,6 @@ impl Blockchain {
     /// intrinsic cost). Contract-level failures are reported in the receipt
     /// status, not as errors.
     pub fn send_transaction(&mut self, tx: Transaction) -> Result<TxReceipt, ChainError> {
-        let mut span = slicer_telemetry::global::span("chain.tx");
         let intrinsic =
             self.schedule.tx_base + self.schedule.calldata_cost(&tx.data) + self.schedule.call_base;
         if tx.gas_limit < intrinsic {
@@ -332,40 +326,19 @@ impl Blockchain {
             logs,
             gas_breakdown,
         };
-        if span.is_recording() {
-            span.attr("gas.used", receipt.gas_used);
-            span.attr("gas.category", dominant_category(&receipt.gas_breakdown));
-            span.attr("tx.hash", receipt.tx_hash.to_string());
-            span.attr("status", receipt.status.is_success());
-        }
         self.pending.push(receipt.clone());
         Ok(receipt)
     }
 
     /// Seals the pending block (PoA: the single sealer signs by fiat).
     pub fn seal_block(&mut self) {
-        let mut span = slicer_telemetry::global::span("chain.seal");
         let receipts = std::mem::take(&mut self.pending);
-        if span.is_recording() {
-            span.attr("block", self.height() + 1);
-            span.attr("txs", receipts.len());
-        }
         let block = match self.blocks.last() {
             Some(parent) => Block::seal(parent, receipts),
             None => Block::genesis(),
         };
         self.blocks.push(block);
     }
-}
-
-/// The gas-breakdown bucket with the largest charge — the one-word answer
-/// to "where did this transaction's gas go".
-fn dominant_category(breakdown: &GasBreakdown) -> &'static str {
-    breakdown
-        .entries()
-        .iter()
-        .max_by_key(|(_, gas)| *gas)
-        .map_or("other", |(name, _)| name)
 }
 
 /// Result of a contract deployment.

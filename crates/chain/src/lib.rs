@@ -48,7 +48,7 @@ mod tx;
 mod types;
 
 pub use block::Block;
-pub use chain::Blockchain;
+pub use chain::{Blockchain, DeployOutcome};
 pub use contract::{CallContext, Contract};
 pub use error::{ChainError, ContractError};
 pub use gas::{

@@ -35,7 +35,6 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     "witnesses",
     "records",
     "keywords",
-    "tuples",
     "targets",
     // Pool fan-out width (`par.map` spans) — a pure count of independent
     // tasks, already revealed by the counts above.
@@ -46,12 +45,8 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     "token.fp",
     // Public on-chain data.
     "gas.used",
-    "gas.category",
     "tx.hash",
-    "kind",
     "status",
-    "block",
-    "txs",
     // Settlement outcome (public by construction).
     "verified",
     "paid_cloud",

@@ -78,7 +78,6 @@ impl CloudServer {
     /// Installs a telemetry context; search/prove spans and index-lookup
     /// counters are recorded through it. Disabled by default.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.pool.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -99,10 +98,13 @@ impl CloudServer {
     /// Returns [`SlicerError::IndexCorruption`] if the shipment collides
     /// with existing index labels.
     pub fn ingest(&mut self, output: &BuildOutput) -> Result<(), SlicerError> {
+        let mut span = self.telemetry.span("store.extend");
+        span.attr("entries", output.entries.len());
         self.state
             .index
             .extend(output.entries.iter().cloned())
             .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
+        drop(span);
         self.state.primes.extend(output.primes.iter().cloned());
         self.state.accumulator = Some(output.accumulator.clone());
         Ok(())
@@ -224,6 +226,8 @@ impl CloudServer {
         let corrupt = |e: slicer_accumulator::AccumulatorError| {
             SlicerError::IndexCorruption(format!("witness generation failed: {e}"))
         };
+        let mut witness_span = self.telemetry.span("accumulator.witness");
+        witness_span.attr("targets", targets.len());
         let witnesses = match self.strategy {
             WitnessStrategy::Direct => targets
                 .iter()
@@ -245,6 +249,7 @@ impl CloudServer {
                 .map_err(corrupt)?
             }
         };
+        drop(witness_span);
         self.telemetry
             .count("cloud.witnesses.generated", witnesses.len() as u64);
         span.attr("witnesses", witnesses.len());

@@ -109,8 +109,18 @@ impl DataOwner {
     /// by default.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.clock = timing_clock(&telemetry);
-        self.pool.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+    }
+
+    /// [`Pool::run`] under one `par.map` span (attribute `tasks`), counted
+    /// in `par.maps` and `par.tasks`. All of it is recorded on the calling
+    /// thread, so the transcript is the same at any worker count.
+    fn par_map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let mut span = self.telemetry.span("par.map");
+        span.attr("tasks", items.len());
+        self.telemetry.count("par.maps", 1);
+        self.telemetry.count("par.tasks", items.len() as u64);
+        self.pool.run(items, f)
     }
 
     /// The protocol configuration.
@@ -224,9 +234,8 @@ impl DataOwner {
         // Independent keyword groups fan out over the deterministic pool;
         // ordered join keeps the output in keyword order.
         let items: Vec<(&Vec<u8>, &Vec<RecordId>)> = groups.iter().collect();
-        let outputs: Vec<KeywordOutput> = self
-            .pool
-            .par_map(&items, |(w, ids)| self.process_keyword(w, ids));
+        let outputs: Vec<KeywordOutput> =
+            self.par_map(&items, |(w, ids)| self.process_keyword(w, ids));
 
         let index_time = Duration::from_nanos(self.clock.now_nanos().saturating_sub(index_start));
         span_index.attr("keywords", groups.len());
@@ -237,23 +246,22 @@ impl DataOwner {
         // Merge, stage 1 (parallel, read-only on the owner state): per
         // keyword, absorb the ciphertext delta into the set hash and derive
         // the prime representative.
-        let hashed: Vec<Result<(MsetHash, BigUint), SlicerError>> =
-            self.pool.par_map(&outputs, |out| {
-                let mut h = match &out.old_state_key {
-                    Some(old) => self.state.set_hashes.get(old).cloned().ok_or_else(|| {
-                        SlicerError::IndexCorruption("old state key missing from S".into())
-                    })?,
-                    None => MsetHash::empty(),
-                };
-                for enc in &out.hash_delta {
-                    h.insert(enc);
-                }
-                let mut material = out.state_key.clone();
-                material.extend_from_slice(&h.to_bytes());
-                let x = hash_to_prime(&material, self.config.prime_bits)
-                    .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
-                Ok((h, x))
-            });
+        let hashed: Vec<Result<(MsetHash, BigUint), SlicerError>> = self.par_map(&outputs, |out| {
+            let mut h = match &out.old_state_key {
+                Some(old) => self.state.set_hashes.get(old).cloned().ok_or_else(|| {
+                    SlicerError::IndexCorruption("old state key missing from S".into())
+                })?,
+                None => MsetHash::empty(),
+            };
+            for enc in &out.hash_delta {
+                h.insert(enc);
+            }
+            let mut material = out.state_key.clone();
+            material.extend_from_slice(&h.to_bytes());
+            let x = hash_to_prime(&material, self.config.prime_bits)
+                .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
+            Ok((h, x))
+        });
 
         // Merge, stage 2 (sequential): update T and S, then fold every new
         // prime into the accumulator with one chunked product pass.

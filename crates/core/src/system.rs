@@ -10,7 +10,9 @@ use crate::owner::DataOwner;
 use crate::profile::{PhaseStat, SearchProfile};
 use crate::record::{Record, RecordId};
 use crate::user::DataUser;
-use slicer_chain::{Address, Blockchain, SlicerCall, SlicerContract, Transaction, TxReceipt};
+use slicer_chain::{
+    Address, Blockchain, DeployOutcome, SlicerCall, SlicerContract, Transaction, TxReceipt,
+};
 use slicer_crypto::sha256;
 use slicer_telemetry::{Clock, Level, Span, TelemetryHandle};
 use std::sync::Arc;
@@ -46,6 +48,51 @@ fn hex_bytes(bytes: &[u8]) -> String {
         out.push_str(&format!("{b:02x}"));
     }
     out
+}
+
+/// Derives the parties' addresses `[owner, user, cloud]` from `seed`,
+/// funds them, deploys the verification contract and seals its block.
+fn deploy(
+    config: &SlicerConfig,
+    seed: u64,
+    chain: &mut Blockchain,
+    telemetry: &TelemetryHandle,
+) -> Result<([Address; 3], DeployOutcome), SlicerError> {
+    let addr = |tag: &str| {
+        let h = sha256(&[tag.as_bytes(), &seed.to_be_bytes()].concat());
+        Address(*h.first_chunk().unwrap_or(&[0u8; 20]))
+    };
+    let parties @ [owner, _, _] = [addr("owner"), addr("user"), addr("cloud")];
+    for party in parties {
+        chain.create_account(party, 10_000_000_000);
+    }
+    let contract = SlicerContract::new(config.accumulator.clone(), config.prime_bits, owner);
+    let deployed = {
+        let _span = telemetry.span("chain.deploy");
+        chain.deploy_contract(owner, Box::new(contract), 0)?
+    };
+    seal(telemetry, chain);
+    Ok((parties, deployed))
+}
+
+/// [`Blockchain::send_transaction`] under a `chain.tx` span. The span
+/// carries no `gas.used`: the phase span that owns the transaction does,
+/// so every gas fold counts the transaction's gas once.
+fn send(
+    telemetry: &TelemetryHandle,
+    chain: &mut Blockchain,
+    tx: Transaction,
+) -> Result<TxReceipt, SlicerError> {
+    let mut span = telemetry.span("chain.tx");
+    let receipt = chain.send_transaction(tx)?;
+    span.attr("status", receipt.status.is_success());
+    Ok(receipt)
+}
+
+/// [`Blockchain::seal_block`] under a `chain.seal` span.
+fn seal(telemetry: &TelemetryHandle, chain: &mut Blockchain) {
+    let _span = telemetry.span("chain.seal");
+    chain.seal_block();
 }
 
 /// One Slicer deployment: owner + cloud + user + verification contract,
@@ -119,23 +166,8 @@ impl SlicerInstance {
         let owner = DataOwner::new(config.clone(), seed);
         let cloud = CloudServer::new(config.clone(), owner.keys().trapdoor().public().clone());
         let user = owner.delegate();
-
-        // Derive distinct addresses from the seed.
-        let addr = |tag: &str| {
-            let h = sha256(&[tag.as_bytes(), &seed.to_be_bytes()].concat());
-            Address(*h.first_chunk().unwrap_or(&[0u8; 20]))
-        };
-        let owner_addr = addr("owner");
-        let user_addr = addr("user");
-        let cloud_addr = addr("cloud");
-        chain.create_account(owner_addr, 10_000_000_000);
-        chain.create_account(user_addr, 10_000_000_000);
-        chain.create_account(cloud_addr, 10_000_000_000);
-
-        let contract =
-            SlicerContract::new(config.accumulator.clone(), config.prime_bits, owner_addr);
-        let deployed = chain.deploy_contract(owner_addr, Box::new(contract), 0)?;
-        chain.seal_block();
+        let ([owner_addr, user_addr, cloud_addr], deployed) =
+            deploy(&config, seed, chain, &telemetry)?;
 
         telemetry.count("phase.setup.gas", deployed.receipt.gas_used);
         if span.is_recording() {
@@ -197,22 +229,8 @@ impl SlicerInstance {
             cloud_state,
         );
         let user = owner.delegate();
-
-        let addr = |tag: &str| {
-            let h = sha256(&[tag.as_bytes(), &seed.to_be_bytes()].concat());
-            Address(*h.first_chunk().unwrap_or(&[0u8; 20]))
-        };
-        let owner_addr = addr("owner");
-        let user_addr = addr("user");
-        let cloud_addr = addr("cloud");
-        chain.create_account(owner_addr, 10_000_000_000);
-        chain.create_account(user_addr, 10_000_000_000);
-        chain.create_account(cloud_addr, 10_000_000_000);
-
-        let contract =
-            SlicerContract::new(config.accumulator.clone(), config.prime_bits, owner_addr);
-        let deployed = chain.deploy_contract(owner_addr, Box::new(contract), 0)?;
-        chain.seal_block();
+        let ([owner_addr, user_addr, cloud_addr], deployed) =
+            deploy(&config, seed, chain, &telemetry)?;
         // Every gas-bearing span must have a matching phase counter, so
         // profile gas totals reconcile with the counter surface on
         // restored deployments too (slicer-cli profile --check).
@@ -286,13 +304,9 @@ impl SlicerInstance {
     fn publish_accumulator(&self, chain: &mut Blockchain) -> Result<TxReceipt, SlicerError> {
         let elem = self.owner.config().accumulator.element_bytes();
         let call = SlicerCall::SetAccumulator(self.owner.accumulator().to_bytes_be_padded(elem));
-        let receipt = chain.send_transaction(Transaction::call(
-            self.owner_addr,
-            self.contract,
-            0,
-            call.encode(),
-        ))?;
-        chain.seal_block();
+        let tx = Transaction::call(self.owner_addr, self.contract, 0, call.encode());
+        let receipt = send(&self.telemetry, chain, tx)?;
+        seal(&self.telemetry, chain);
         Ok(receipt)
     }
 
@@ -477,12 +491,8 @@ impl SlicerInstance {
             cloud: self.cloud_addr,
             tokens: tokens.iter().map(|t| t.to_chain(width)).collect(),
         };
-        let req_receipt = chain.send_transaction(Transaction::call(
-            self.user_addr,
-            self.contract,
-            payment,
-            call.encode(),
-        ))?;
+        let tx = Transaction::call(self.user_addr, self.contract, payment, call.encode());
+        let req_receipt = send(&self.telemetry, chain, tx)?;
         let token_wall = self.elapsed(token_start);
         if token_span.is_recording() {
             token_span.attr("tokens", tokens.len());
@@ -514,7 +524,7 @@ impl SlicerInstance {
         };
         let mut tx = Transaction::call(self.cloud_addr, self.contract, 0, submit.encode());
         tx.gas_limit = 100_000_000; // verification of large result sets
-        let sub_receipt = chain.send_transaction(tx)?;
+        let sub_receipt = send(&self.telemetry, chain, tx)?;
         let verify_wall = self.elapsed(verify_start);
         let verified = sub_receipt.status.is_success() && sub_receipt.output == [1];
         // The submit transaction's gas splits between the Verify phase
@@ -534,7 +544,7 @@ impl SlicerInstance {
         //    whatever the cloud returned (worthless if unverified).
         let mut settle_span = self.telemetry.span("phase.settle");
         let settle_start = self.clock.now_nanos();
-        chain.seal_block();
+        seal(&self.telemetry, chain);
         let records = self.user.decrypt(&response.results)?;
         let settle_wall = self.elapsed(settle_start);
 

@@ -3,7 +3,7 @@
 //! ```text
 //! slicerd --listen <endpoint> --data <dir> [--seed <n>] [--bits <n>]
 //!         [--log-level <debug|info|warn|error>] [--log-format <text|json>]
-//!         [--slow-ms <n>] [--event-ring <n>]
+//!         [--slow-ms <n>]
 //! ```
 //!
 //! Endpoints: `tcp://HOST:PORT`, `unix:///path/to.sock`, or a bare
@@ -20,6 +20,7 @@
 
 use slicer_daemon::{
     hex, instrumented_telemetry, Boot, Daemon, DaemonConfig, DaemonError, Endpoint, FlightRecorder,
+    DEFAULT_EVENT_RING,
 };
 use slicer_telemetry::{Level, LogFormat, WriterLogSink};
 use std::path::PathBuf;
@@ -64,11 +65,6 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
                 config.slow_request_ns =
                     parse_u64(value(&mut it, "--slow-ms")?, "--slow-ms")?.saturating_mul(1_000_000);
             }
-            "--event-ring" => {
-                let v = parse_u64(value(&mut it, "--event-ring")?, "--event-ring")?;
-                config.event_ring = usize::try_from(v)
-                    .map_err(|_| DaemonError::Config(format!("--event-ring out of range: {v}")))?;
-            }
             "--log-level" => {
                 let v = value(&mut it, "--log-level")?;
                 log_level = Level::parse(v)
@@ -85,15 +81,11 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
                     }
                 };
             }
-            // Telemetry is always on now; the flag stays accepted so
-            // existing scripts keep working.
-            "--telemetry" => {}
             "--help" | "-h" => {
                 return Err(DaemonError::Config(
                     "usage: slicerd --listen <endpoint> --data <dir> \
                      [--seed <n>] [--bits <n>] [--log-level <level>] \
-                     [--log-format <text|json>] [--slow-ms <n>] \
-                     [--event-ring <n>]"
+                     [--log-format <text|json>] [--slow-ms <n>]"
                         .into(),
                 ))
             }
@@ -139,7 +131,7 @@ fn run(raw: Vec<String>) -> Result<(), DaemonError> {
     // The profiling plane is always on: every span feeds both the
     // flamegraph aggregator (behind the `profile` RPC) and a bounded
     // event ring, so `slicer-cli profile` works against any daemon.
-    let (telemetry, profile, events) = instrumented_telemetry(args.config.event_ring);
+    let (telemetry, profile, events) = instrumented_telemetry(DEFAULT_EVENT_RING);
     telemetry.set_log_level(args.log_level);
     telemetry.add_log_sink(Arc::new(match args.log_format {
         LogFormat::Text => WriterLogSink::stderr_text(),

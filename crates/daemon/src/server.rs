@@ -46,14 +46,6 @@ pub struct DaemonConfig {
     /// Requests taking at least this long earn a warn-level
     /// `slow request` log line.
     pub slow_request_ns: u64,
-    /// Capacity of the in-memory structured-log ring serving `Tail`
-    /// and embedded in the flight recorder.
-    pub log_ring: usize,
-    /// How many recent requests the flight recorder retains.
-    pub flightrec_requests: usize,
-    /// Capacity of the bounded telemetry event ring a profiled daemon
-    /// retains (see [`instrumented_telemetry`]).
-    pub event_ring: usize,
 }
 
 impl Default for DaemonConfig {
@@ -62,12 +54,12 @@ impl Default for DaemonConfig {
             seed: 7,
             value_bits: 16,
             slow_request_ns: 250_000_000,
-            log_ring: slicer_telemetry::DEFAULT_LOG_RING,
-            flightrec_requests: 64,
-            event_ring: DEFAULT_EVENT_RING,
         }
     }
 }
+
+/// How many recent requests the flight recorder retains.
+const FLIGHTREC_REQUESTS: usize = 64;
 
 /// Default capacity of the daemon's bounded span-event ring: enough for
 /// thousands of requests' spans, bounded so a long-lived `slicerd`
@@ -174,11 +166,11 @@ impl Daemon {
         // The operations plane comes up before the instance: the log
         // ring catches boot-time records and the flight recorder's first
         // persist happens on the first request.
-        let log_ring = Arc::new(MemoryLogSink::with_capacity(config.log_ring));
+        let log_ring = Arc::new(MemoryLogSink::new());
         telemetry.add_log_sink(log_ring.clone() as _);
         let flightrec = FlightRecorder::new(
             data_dir.join(FLIGHTREC_FILE),
-            config.flightrec_requests,
+            FLIGHTREC_REQUESTS,
             log_ring.clone(),
             profile.clone(),
         );
@@ -976,6 +968,15 @@ mod tests {
             rendered.lines().any(|l| l.starts_with("daemon.request;")),
             "{rendered}"
         );
+        // The chain and witness layers fold under the phase that drove
+        // them.
+        for frames in [
+            "phase.token;chain.tx ",
+            "phase.verify;chain.tx ",
+            "cloud.prove;accumulator.witness",
+        ] {
+            assert!(rendered.contains(frames), "{frames} missing:\n{rendered}");
+        }
 
         // Gas profile total reconciles exactly with the phase gas
         // counters (the span attrs carry the same settle/verify split).

@@ -17,8 +17,13 @@
 //!    protocol transcripts either.
 //! 3. **Free when disabled** — [`TelemetryHandle::disabled`] is an
 //!    `Option::None` behind the scenes: every operation is a branch on a
-//!    niche-optimized pointer. The process-global facade ([`global`]) used
-//!    by leaf crates guards with one relaxed atomic load.
+//!    niche-optimized pointer.
+//! 4. **One path** — there is no process-global handle. Only the actors
+//!    that carry a handle (the protocol parties, `SlicerInstance`, the
+//!    pool, the daemon) record; the leaf crates (chain, SORE, store,
+//!    accumulator) do not depend on this crate, and their callers record
+//!    the spans around them. Two runs in one process therefore never
+//!    share a registry.
 //!
 //! # Architecture
 //!
@@ -27,9 +32,9 @@
 //! * [`TelemetryHandle`] — a cheaply clonable handle bundling a registry,
 //!   a [`Clock`] and a [`Sink`]; [`TelemetryHandle::span`] returns a guard
 //!   that records a latency observation when dropped.
-//! * [`Sink`] — a pluggable event stream: [`MemorySink`] for tests,
-//!   [`JsonLinesSink`] for stderr tracing, [`NullSink`] when only the
-//!   aggregated registry matters.
+//! * [`Sink`] — a pluggable event stream: [`MemorySink`] for tests and
+//!   bounded rings, [`FanoutSink`] to feed several, [`NullSink`] when only
+//!   the aggregated registry matters.
 //! * Structured logs — [`TelemetryHandle::log`] emits leveled
 //!   [`LogRecord`]s (same `'static`-keyed [`AttrValue`] fields as span
 //!   attributes, timestamped on the handle's clock) to pluggable
@@ -39,9 +44,6 @@
 //! * [`Snapshot`] — a point-in-time copy of the registry, exportable as
 //!   Prometheus text ([`Snapshot::to_prometheus_text`]) or JSON
 //!   ([`Snapshot::to_json`]).
-//! * [`global`] — a process-wide default handle for leaf crates (SORE
-//!   tuple counts, index lookup hit rates, witness-cache hit rates) that
-//!   cannot reasonably thread a handle through their APIs.
 //! * Causal traces — every live span carries a [`SpanContext`]
 //!   ([`TraceId`] + [`SpanId`], sequence-counter assigned so same-seed
 //!   transcripts stay byte-identical) and parents implicitly on the
@@ -70,7 +72,6 @@
 
 mod clock;
 mod export;
-pub mod global;
 mod handle;
 pub mod json;
 mod log;
@@ -84,13 +85,12 @@ pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use export::{HistogramSummary, Snapshot};
 pub use handle::{Span, TelemetryHandle};
 pub use log::{
-    Level, LogFormat, LogRecord, LogSink, MemoryLogSink, NullLogSink, WriterLogSink,
-    DEFAULT_LOG_RING,
+    Level, LogFormat, LogRecord, LogSink, MemoryLogSink, WriterLogSink, DEFAULT_LOG_RING,
 };
 pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use profile::{
     fold_events, Profile, ProfileAggregator, ProfileEntry, ProfileMode, DEFAULT_MAX_STACKS,
     GAS_ATTR,
 };
-pub use sink::{Event, FanoutSink, JsonLinesSink, MemorySink, NullSink, Sink};
+pub use sink::{Event, FanoutSink, MemorySink, NullSink, Sink};
 pub use trace::{chrome_trace, AttrValue, Attrs, SpanContext, SpanId, TraceId};

@@ -36,8 +36,9 @@ use std::sync::Mutex;
 use crate::sink::{Event, Sink};
 use crate::trace::AttrValue;
 
-/// Span attribute key carrying gas consumption (set by `crates/chain`
-/// transaction spans and the protocol phase spans in `crates/core`).
+/// Span attribute key carrying gas consumption. Only the protocol phase
+/// spans in `crates/core` set it; the `chain.*` spans beneath them carry
+/// none, so a gas fold counts each transaction's gas exactly once.
 pub const GAS_ATTR: &str = "gas.used";
 
 /// Default cap on distinct collapsed stacks retained by an aggregator.

@@ -4,12 +4,11 @@
 //! stream answers "what happened, in order". A [`Sink`] receives one
 //! [`Event`] per span end, counter bump and gauge set. The default
 //! [`NullSink`] drops everything (aggregation still happens in the
-//! registry); [`MemorySink`] records for tests; [`JsonLinesSink`] writes
-//! one JSON object per line for offline analysis.
+//! registry); [`MemorySink`] records for tests and for the daemon's
+//! bounded event ring.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -256,41 +255,6 @@ impl Sink for FanoutSink {
     }
 }
 
-/// Writes one JSON object per event to a writer (typically stderr).
-pub struct JsonLinesSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wraps `writer`; each event becomes one line.
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink {
-            writer: Mutex::new(writer),
-        }
-    }
-}
-
-impl JsonLinesSink<std::io::Stderr> {
-    /// A sink writing JSON lines to stderr.
-    pub fn stderr() -> Self {
-        Self::new(std::io::stderr())
-    }
-}
-
-impl<W: Write + Send> fmt::Debug for JsonLinesSink<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonLinesSink").finish_non_exhaustive()
-    }
-}
-
-impl<W: Write + Send> Sink for JsonLinesSink<W> {
-    fn record(&self, event: Event) {
-        let mut w = self.writer.lock().expect("sink lock poisoned");
-        // Telemetry must never take the process down: ignore I/O errors.
-        let _ = writeln!(w, "{}", event.to_json());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,26 +304,6 @@ mod tests {
         let j = s.to_json();
         assert!(json::parse(&j).is_ok(), "invalid JSON: {j}");
         assert!(j.contains("\"parent\":null"));
-    }
-
-    #[test]
-    fn json_lines_sink_writes_one_line_per_event() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(Event::Counter {
-            name: "x".into(),
-            delta: 3,
-        });
-        sink.record(Event::Counter {
-            name: "y".into(),
-            delta: 4,
-        });
-        let buf = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            assert!(json::parse(line).is_ok(), "invalid JSON line: {line}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use slicer_core::{LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerSystem};
-use slicer_telemetry::{global, Event, MemorySink, MonotonicClock, TelemetryHandle};
+use slicer_telemetry::{Event, MemorySink, MonotonicClock, TelemetryHandle};
 use std::sync::Arc;
 
 fn ms(ns: u64) -> String {
@@ -21,12 +21,11 @@ fn ms(ns: u64) -> String {
 
 fn main() {
     // One enabled handle serves the whole run: the system's parties get it
-    // injected, and the global facade routes the leaf-crate spans and
-    // counters (SORE tuples, index lookups, chain txs, accumulator
-    // witnesses) into the same registry and event stream.
+    // injected, and the chain transactions, index merges and witness
+    // computations they drive are recorded into the same registry and
+    // event stream.
     let sink = Arc::new(MemorySink::new());
     let telemetry = TelemetryHandle::with(Arc::new(MonotonicClock::new()), sink.clone() as _);
-    global::set(telemetry.clone());
 
     println!("── Setup + Build (Algorithms 1–2) ────────────────────────");
     let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 7, telemetry.clone());
@@ -170,5 +169,4 @@ fn main() {
         report.builds, report.searches, report.tokens, report.distinct_tokens
     );
     println!("LEAKAGE AUDIT OK");
-    global::reset();
 }

@@ -59,12 +59,14 @@ SLICER_THREADS=4 cargo test -q --offline --workspace --release
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> pool determinism (bench counters agree across SLICER_THREADS)"
+echo "==> pool determinism (bench metrics agree across SLICER_THREADS)"
 # The slicer-par contract: worker count is a throughput knob, never a
 # semantic one. Run the telemetry experiment single-threaded and
-# four-threaded and require the non-timing metrics (the "counters"
-# section of both bench transcripts) to agree byte-for-byte. Timing
-# histograms legitimately differ; everything the protocol counts must not.
+# four-threaded. The four-threaded transcripts must pass the same exact
+# `repro --diff` against the committed baselines that the gate below
+# applies to the single-threaded ones: counters, gauges and histogram
+# counts. Timing values legitimately differ; everything the protocol
+# counts must not.
 bench_tmp="$(mktemp -d)"
 trap 'rm -rf "$bench_tmp"' EXIT
 for threads in 1 4; do
@@ -74,16 +76,10 @@ for threads in 1 4; do
     --csv "$bench_tmp/t$threads" >/dev/null
 done
 for f in BENCH_build.json BENCH_search.json; do
-  sed -n '/"counters"/,/}/p' "$bench_tmp/t1/$f" >"$bench_tmp/c1"
-  sed -n '/"counters"/,/}/p' "$bench_tmp/t4/$f" >"$bench_tmp/c4"
-  if ! diff -u "$bench_tmp/c1" "$bench_tmp/c4"; then
-    echo "pool determinism FAILED: $f counters differ between SLICER_THREADS=1 and 4" >&2
+  if ! ./target/release/repro --diff "results/$f" "$bench_tmp/t4/$f"; then
+    echo "pool determinism FAILED: $f under SLICER_THREADS=4 differs from results/$f" >&2
     exit 1
   fi
-  grep -q '"counters"' "$bench_tmp/c1" || {
-    echo "pool determinism FAILED: no counters section extracted from $f" >&2
-    exit 1
-  }
 done
 echo "pool determinism OK"
 
@@ -290,7 +286,8 @@ ocli tail 50 | grep -q '"target":"slicerd.boot"' || {
 # Profiling plane: the live Profile RPC must render a well-formed SVG
 # flamegraph and its totals must reconcile with the metrics surface —
 # wall root within the rpc.*.ns histogram sums, gas total exactly equal
-# to the phase.*.gas counters (slicerd never double-counts chain spans).
+# to the phase.*.gas counters (gas rides on the phase spans only, never
+# on the chain.* spans beneath them).
 prof_out="$(ocli profile --check)" || {
   echo "observability smoke FAILED: profile --check rejected the profile plane" >&2
   echo "$prof_out" >&2
